@@ -2,8 +2,8 @@
 
 The convention throughout is the right action x^g = images[x], and
 composition reads left to right: (f * g) maps x to g(f(x)).  Degrees up
-to 64 are the supported envelope; images are uint8 so byte-level
-comparisons double as lexicographic order on image tuples.
+to MAX_DEGREE = 250 are the supported envelope; images are uint8 so
+byte-level comparisons double as lexicographic order on image tuples.
 """
 
 from __future__ import annotations

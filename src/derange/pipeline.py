@@ -194,7 +194,11 @@ def verify_degree(
                 record["witness"] = None
                 report.counterexamples.append(record)
 
-    assert report.pairs_pruned + report.pairs_checked == report.pairs_total
+    if report.pairs_pruned + report.pairs_checked != report.pairs_total:
+        raise GroupError(
+            f"pair accounting: {report.pairs_pruned} pruned + {report.pairs_checked} "
+            f"checked != {report.pairs_total} total"
+        )
     report.wall_time = time.perf_counter() - t0
     return report
 

@@ -203,6 +203,13 @@ def normal_subgroups(group: PermutationGroup, class_cap: int = 10**6) -> list[Pe
     A normal subgroup is a union of classes, hence the join of the
     normal closures of the classes it contains; closing the single-class
     closures under joins therefore finds all of them.
+
+    The closure under joins is semi-naive: after the first round only
+    pairs with a member new since the previous round are joined, since
+    every old pair was joined a round earlier, and a pair where one side
+    contains the other is skipped, since its join is that side.  Neither
+    skip can lose a subgroup, so the kept generator lists are those of
+    joining every pair every round.
     """
     table = conjugacy_classes(group, cap=class_cap)
     atoms = []
@@ -224,20 +231,31 @@ def normal_subgroups(group: PermutationGroup, class_cap: int = 10**6) -> list[Pe
     add(trivial)
     for a in atoms:
         add(a)
-    grew = True
-    while grew:
-        grew = False
-        flat = [h for bucket in lattice.values() for h in bucket]
-        for i in range(len(flat)):
-            for j in range(i + 1, len(flat)):
-                join = normal_closure(group, flat[i].generators + flat[j].generators)
-                if add(join):
-                    grew = True
     out = [h for bucket in lattice.values() for h in bucket]
+    fresh = {id(h) for h in out}
+    while fresh:
+        added = set()
+        for i, a in enumerate(out):
+            for b in out[i + 1:]:
+                if id(a) not in fresh and id(b) not in fresh:
+                    continue
+                if _nested(a, b):
+                    continue
+                join = normal_closure(group, a.generators + b.generators)
+                if add(join):
+                    added.add(id(join))
+        fresh = added
+        out = [h for bucket in lattice.values() for h in bucket]
     if not any(h.order == group.order for h in out):
         out.append(PermutationGroup(group.degree, group.generators, name=group.name))
     out.sort(key=lambda h: (h.order, [g.key for g in h.generators]))
     return out
+
+
+def _nested(a: PermutationGroup, b: PermutationGroup) -> bool:
+    """True when one of a, b contains the other: Lagrange, then a sift."""
+    small, big = (a, b) if a.order <= b.order else (b, a)
+    return big.order % small.order == 0 and small.is_subgroup_of(big)
 
 
 # ---------------------------------------------------------------------------

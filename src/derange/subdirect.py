@@ -17,7 +17,7 @@ import numpy as np
 from ._kernels import row_orders
 from .derangements import TwoOrbitAction
 from .group import GroupError, PermutationGroup, ResourceCapExceeded
-from .perm import Perm, rows_then
+from .perm import MAX_DEGREE, Perm, rows_then
 from .structure import normal_subgroups
 
 QUOTIENT_CAP = 2000
@@ -47,6 +47,7 @@ class QuotientModel:
     _enc: dict = field(repr=False, default_factory=dict)
     _orders: np.ndarray | None = field(repr=False, default=None)
     _gens: list[int] | None = field(repr=False, default=None)
+    _trees: list | None = field(repr=False, default=None)
     _derangements: np.ndarray | None = field(repr=False, default=None)
 
     @property
@@ -89,9 +90,46 @@ class QuotientModel:
                 got = _closure_points(self.table, trial).size
                 if got > size:
                     gens, size = trial, got
-            assert size == m
+            if size != m:
+                raise GroupError(f"generating points reach {size} of {m} quotient points")
         self._gens = gens
         return gens
+
+    def prefix_trees(self) -> list[tuple[list, list]]:
+        """Per generating point g_d, the Cayley-graph edges of the prefix
+        subgroup H_d = <g_0..g_d> not already in H_(d-1), as (y, x, k)
+        with y = x*g_k: the Schreier tree of the points new in H_d, in
+        an order that places each parent before its children, and every
+        other new edge."""
+        if self._trees is not None:
+            return self._trees
+        gens = self.generating_points()
+        rows = [self.table[g].tolist() for g in gens]
+        seen = bytearray(self.order)
+        seen[0] = 1
+        members = [0]
+        trees = []
+        for d in range(len(gens)):
+            tree, edges, new = [], [], []
+
+            def visit(x: int, k: int):
+                y = rows[k][x]
+                if seen[y]:
+                    edges.append((y, x, k))
+                else:
+                    seen[y] = 1
+                    tree.append((y, x, k))
+                    new.append(y)
+
+            for x in members:
+                visit(x, d)
+            for x in new:  # grows while it is walked
+                for k in range(d + 1):
+                    visit(x, k)
+            members += new
+            trees.append((tree, edges))
+        self._trees = trees
+        return trees
 
     def derangement_bitmap(self) -> np.ndarray:
         """bitmap[p] = coset p contains an element fixing no parent point."""
@@ -163,7 +201,8 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
         rows[q] = gen_rows[si][rows[p]]
     table = rows.astype(np.int16 if m <= 32767 else np.int32)
     model = QuotientModel(G, N, table, reps, kernel_rows, enc)
-    assert model.order * N.order == G.order
+    if model.order * N.order != G.order:
+        raise GroupError("quotient order times kernel order is not the parent order")
     return model
 
 
@@ -200,81 +239,69 @@ def _center_size(model: QuotientModel) -> int:
 class _IsoSearch:
     """Generator-image backtracking between two regular quotient models.
 
-    Partial maps are grown to the subgroup generated by their domain,
-    checking the multiplication law and injectivity along the way, so a
-    completed map is an isomorphism with no further verification.
+    Slot d picks the image of generating point g_d.  The points g_d adds
+    to the prefix subgroup get their images along the prefix's Schreier
+    tree; the map must stay injective, and every other edge x -> x*g_k
+    of the prefix's Cayley graph must agree with f(x)*f(g_k).  A map
+    that respects every edge of a finite group's Cayley graph is a
+    homomorphism, so a completed map is an isomorphism with no further
+    verification.
     """
 
     def __init__(self, q1: QuotientModel, q2: QuotientModel, cap: int = ISO_CAP):
-        self.t1, self.t2, self.cap = q1.table, q2.table, cap
-        self.m = q1.order
+        self.cap = cap
+        self.m = m = q1.order
         self.gens = q1.generating_points()
+        self.trees = q1.prefix_trees()
+        # plain-int lookups: t2[c * m + x] is the point of x*c in q2
+        self.t2 = memoryview(q2.table.reshape(-1))
         ord1, ord2 = q1.element_orders(), q2.element_orders()
         # candidate images per slot: matching element order, lex order of
         # coset representatives for deterministic output
         self.cands = []
         for g in self.gens:
             k = int(ord1[g])
-            pool = [p for p in range(self.m) if int(ord2[p]) == k]
+            pool = [p for p in range(m) if int(ord2[p]) == k]
             pool.sort(key=lambda p: q2.reps[p].key)
             self.cands.append(pool)
         self.found: list[np.ndarray] = []
 
     def run(self) -> list[np.ndarray]:
-        fwd = np.full(self.m, -1, dtype=np.int64)
-        bwd = np.full(self.m, -1, dtype=np.int64)
-        fwd[0] = 0
-        bwd[0] = 0
-        self._extend(0, fwd, bwd)
+        fwd = [0] * self.m
+        used = bytearray(self.m)
+        used[0] = 1
+        self._extend(0, fwd, used, [None] * len(self.gens))
         return self.found
 
-    def _extend(self, depth: int, fwd: np.ndarray, bwd: np.ndarray):
+    def _extend(self, depth: int, fwd: list[int], used: bytearray, rows: list):
+        # fwd is the map on H_(depth-1), stale beyond it; used marks its
+        # image; rows[k][x] is the point of x*f(g_k) in q2
         if depth == len(self.gens):
             if len(self.found) >= self.cap:
                 raise ResourceCapExceeded(f"isomorphism count over cap {self.cap}")
-            self.found.append(fwd.copy())
+            self.found.append(np.array(fwd, dtype=np.int64))
             return
-        g = self.gens[depth]
+        tree, edges = self.trees[depth]
         for c in self.cands[depth]:
-            if bwd[c] >= 0:
+            if used[c]:
                 continue
-            f2, b2 = fwd.copy(), bwd.copy()
-            f2[g], b2[c] = c, g
-            if self._close(f2, b2, [g]):
-                self._extend(depth + 1, f2, b2)
-
-    def _close(self, fwd: np.ndarray, bwd: np.ndarray, new_points: list[int]) -> bool:
-        frontier = new_points
-        while frontier:
-            cur = np.asarray(sorted(set(frontier)), dtype=np.int64)
-            known = np.nonzero(fwd >= 0)[0]
-            a = np.concatenate([
-                self.t1[cur[None, :], known[:, None]].ravel(),
-                self.t1[known[None, :], cur[:, None]].ravel(),
-            ]).astype(np.int64)
-            b = np.concatenate([
-                self.t2[fwd[cur][None, :], fwd[known][:, None]].ravel(),
-                self.t2[fwd[known][None, :], fwd[cur][:, None]].ravel(),
-            ]).astype(np.int64)
-            have = fwd[a]
-            if ((have >= 0) & (have != b)).any():
-                return False
-            mask = have < 0
-            if not mask.any():
-                break
-            na, nb = a[mask], b[mask]
-            order = np.argsort(na, kind="stable")
-            na, nb = na[order], nb[order]
-            keep = np.concatenate([[True], na[1:] != na[:-1]])
-            ka, kb = na[keep], nb[keep]
-            if np.unique(kb).size != kb.size or (bwd[kb] >= 0).any():
-                return False
-            fwd[ka] = kb
-            bwd[kb] = ka
-            if (fwd[na] != nb).any():
-                return False
-            frontier = ka.tolist()
-        return True
+            rows[depth] = self.t2[c * self.m:(c + 1) * self.m]
+            placed = []
+            for y, x, k in tree:
+                v = rows[k][fwd[x]]
+                if used[v]:
+                    break
+                used[v] = 1
+                placed.append(v)
+                fwd[y] = v
+            else:
+                for y, x, k in edges:
+                    if fwd[y] != rows[k][fwd[x]]:
+                        break
+                else:
+                    self._extend(depth + 1, fwd, used, rows)
+            for v in placed:
+                used[v] = 0
 
 
 def quotient_isomorphisms(
@@ -347,8 +374,14 @@ def goursat_enumerate(
     conjugacy in G1 x G2 when dedup is set).
 
     Precomputed normal subgroup lists can be passed to share lattice
-    work across many calls on the same groups.
+    work across many calls on the same groups.  The product acts on the
+    disjoint union of both domains, so their degrees must sum to at most
+    MAX_DEGREE.
     """
+    if G1.degree + G2.degree > MAX_DEGREE:
+        raise GroupError(
+            f"factor degrees {G1.degree} + {G2.degree} exceed the {MAX_DEGREE}-point envelope"
+        )
     n1s = normals1 if normals1 is not None else normal_subgroups(G1)
     n2s = normals2 if normals2 is not None else normal_subgroups(G2)
     quotients1: dict[int, QuotientModel] = {}
@@ -388,7 +421,11 @@ def materialize_group(desc: SubdirectDescriptor) -> PermutationGroup:
     gens.extend(_combine(n, id2) for n in q1.kernel.generators)
     gens.extend(_combine(id1, n) for n in q2.kernel.generators)
     G = PermutationGroup(q1.parent.degree + q2.parent.degree, gens)
-    assert G.order == desc.subgroup_order
+    if G.order != desc.subgroup_order:
+        raise GroupError(
+            f"materialized order {G.order} is not the descriptor's {desc.subgroup_order}; "
+            "the point map is not an isomorphism of the quotients"
+        )
     return G
 
 
@@ -413,5 +450,6 @@ def subdirect_derangement(desc: SubdirectDescriptor) -> Perm | None:
     p = int(hits[0])
     g1 = desc.q1.coset_derangement(p)
     g2 = desc.q2.coset_derangement(int(desc.point_map[p]))
-    assert g1 is not None and g2 is not None
+    if g1 is None or g2 is None:
+        raise GroupError(f"derangement bitmap marks coset {p} but it holds no derangement")
     return _combine(g1, g2)

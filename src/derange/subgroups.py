@@ -50,7 +50,8 @@ class ElementTable:
         rows = rows[np.argsort(enc)]
         enc = np.sort(enc)
         # identity is the lex-least permutation, so index 0
-        assert (rows[0] == np.arange(n, dtype=np.uint8)).all()
+        if not (rows[0] == np.arange(n, dtype=np.uint8)).all():
+            raise GroupError("row encoding did not sort the identity first")
 
         dtype = np.int16 if m <= 32767 else np.int32
         mult = np.empty((m, m), dtype=dtype)

@@ -2,7 +2,10 @@
 
 Everything here trades speed for obvious correctness: no conjugacy
 shortcuts, no lattice pruning, just exhaustive closure growth.  Also the
-one recipe for launching the ``derange`` CLI in a separate process.
+reference versions of the normal-subgroup lattice and the quotient
+isomorphism search that the library's faster ones must match output for
+output, and the one recipe for launching the ``derange`` CLI in a
+separate process.
 """
 
 import os
@@ -13,6 +16,7 @@ import numpy as np
 
 from derange.group import PermutationGroup
 from derange.perm import Perm
+from derange.structure import conjugacy_classes, normal_closure
 
 
 def subgroup_scan(G):
@@ -58,6 +62,118 @@ def brute_derangement(G):
         return None
     cand = rows[hit]
     return Perm(cand[np.lexsort(cand.T[::-1])][0], validate=False)
+
+
+def reference_normal_subgroups(group, class_cap=10**6):
+    """``normal_subgroups`` with the plain round loop: every round joins
+    every pair of known normal subgroups, until a round adds none."""
+    table = conjugacy_classes(group, cap=class_cap)
+    atoms = []
+    for cls in table:
+        if cls.rep.is_identity():
+            continue
+        atoms.append(normal_closure(group, [cls.rep]))
+    lattice = {}
+
+    def add(h):
+        bucket = lattice.setdefault(h.order, [])
+        for other in bucket:
+            if h.same_group(other):
+                return False
+        bucket.append(h)
+        return True
+
+    trivial = PermutationGroup(group.degree, [], name="1")
+    add(trivial)
+    for a in atoms:
+        add(a)
+    grew = True
+    while grew:
+        grew = False
+        flat = [h for bucket in lattice.values() for h in bucket]
+        for i in range(len(flat)):
+            for j in range(i + 1, len(flat)):
+                join = normal_closure(group, flat[i].generators + flat[j].generators)
+                if add(join):
+                    grew = True
+    out = [h for bucket in lattice.values() for h in bucket]
+    if not any(h.order == group.order for h in out):
+        out.append(PermutationGroup(group.degree, group.generators, name=group.name))
+    out.sort(key=lambda h: (h.order, [g.key for g in h.generators]))
+    return out
+
+
+def reference_isomorphisms(q1, q2):
+    """Every isomorphism of two quotient models, in the order and form of
+    ``quotient_isomorphisms(q1, q2, dedup=False)``: the same generator
+    images tried in the same order, but each partial map grown to the
+    subgroup its domain generates by checking every product of a known
+    point with a new one."""
+    if q1.order != q2.order:
+        return []
+    if q1.order == 1:
+        return [np.zeros(1, dtype=np.int64)]
+    m = q1.order
+    t1, t2 = q1.table, q2.table
+    gens = q1.generating_points()
+    ord1, ord2 = q1.element_orders(), q2.element_orders()
+    cands = []
+    for g in gens:
+        pool = [p for p in range(m) if int(ord2[p]) == int(ord1[g])]
+        pool.sort(key=lambda p: q2.reps[p].key)
+        cands.append(pool)
+    found = []
+
+    def close(fwd, bwd, frontier):
+        while frontier:
+            cur = np.asarray(sorted(set(frontier)), dtype=np.int64)
+            known = np.nonzero(fwd >= 0)[0]
+            a = np.concatenate([
+                t1[cur[None, :], known[:, None]].ravel(),
+                t1[known[None, :], cur[:, None]].ravel(),
+            ]).astype(np.int64)
+            b = np.concatenate([
+                t2[fwd[cur][None, :], fwd[known][:, None]].ravel(),
+                t2[fwd[known][None, :], fwd[cur][:, None]].ravel(),
+            ]).astype(np.int64)
+            have = fwd[a]
+            if ((have >= 0) & (have != b)).any():
+                return False
+            mask = have < 0
+            if not mask.any():
+                break
+            na, nb = a[mask], b[mask]
+            order = np.argsort(na, kind="stable")
+            na, nb = na[order], nb[order]
+            keep = np.concatenate([[True], na[1:] != na[:-1]])
+            ka, kb = na[keep], nb[keep]
+            if np.unique(kb).size != kb.size or (bwd[kb] >= 0).any():
+                return False
+            fwd[ka] = kb
+            bwd[kb] = ka
+            if (fwd[na] != nb).any():
+                return False
+            frontier = ka.tolist()
+        return True
+
+    def extend(depth, fwd, bwd):
+        if depth == len(gens):
+            found.append(fwd.copy())
+            return
+        g = gens[depth]
+        for c in cands[depth]:
+            if bwd[c] >= 0:
+                continue
+            f2, b2 = fwd.copy(), bwd.copy()
+            f2[g], b2[c] = c, g
+            if close(f2, b2, [g]):
+                extend(depth + 1, f2, b2)
+
+    fwd = np.full(m, -1, dtype=np.int64)
+    bwd = np.full(m, -1, dtype=np.int64)
+    fwd[0] = bwd[0] = 0
+    extend(0, fwd, bwd)
+    return found
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -19,6 +19,8 @@ for those sweeps: pairs with |G1 x G2| <= 1e5, certificates on
 materialized groups of order <= 1e5.
 """
 
+import dataclasses
+import hashlib
 import json
 import subprocess
 import time
@@ -45,7 +47,7 @@ from derange.derangements import (
 )
 from derange.gf import FieldSpec
 from derange.group import Perm, PermutationGroup
-from derange.pipeline import verify_degree
+from derange.pipeline import emit_report, verify_degree
 from derange.structure import normal_subgroups
 from derange.subdirect import goursat_enumerate, materialize, materialize_group
 from derange.subgroups import ElementTable, subgroup_classes
@@ -54,6 +56,10 @@ from oracles import derange_process
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
 ORDER_SCOPE = 10**5
+
+# sha256 of the canonical degree-9 report with the corpus source written
+# as the fixture directory relative to the checkout
+DEGREE9_REPORT_SHA256 = "e0e5d8daf85157407596995d7b3ced600b5df120d2a2cf9b907e1ca47019bf64"
 
 
 _LIVE = None
@@ -182,6 +188,10 @@ def test_c04_verify_degrees_2_through_10(corpora):
         assert r.counterexamples == []
         assert r.caps_hit == []
         checked_pairs += r.pairs_checked
+        if n == 9:
+            pinned = dataclasses.replace(r, source="fixtures:src/derange/fixtures/degree09")
+            digest = hashlib.sha256(emit_report(pinned).encode()).hexdigest()
+            assert digest == DEGREE9_REPORT_SHA256
     # degree 9 is the one degree whose pairs survive the prune today
     assert checked_pairs > 0
     _report("c04 verify degrees 2-10", t0, f"{checked_pairs} pairs past the prune")

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from derange import Perm, PermutationGroup
+from derange.corpus import enumerate_transitive, load_corpus
 from derange.structure import (
     ConjugacyClassTable,
     class_orbit_rows,
@@ -13,6 +16,9 @@ from derange.structure import (
     p_part,
     sylow_subgroup,
 )
+from oracles import reference_normal_subgroups
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
 
 def stock(name):
@@ -176,6 +182,32 @@ def test_normal_subgroups_match_brute_force(name):
     # brute force only sees 2-generated subgroups; every normal subgroup
     # of these groups is, so the comparison is exact
     assert got == want, name
+
+
+def lattice_keys(groups):
+    return [(h.order, [x.key for x in h.generators]) for h in groups]
+
+
+@pytest.mark.parametrize("degree", [4, 6, 9])
+def test_normal_subgroups_match_reference_round_loop(degree):
+    # the semi-naive lattice keeps exactly the plain loop's generator lists
+    if degree <= 7:
+        corpus = enumerate_transitive(degree)
+    else:
+        corpus = load_corpus(FIXTURES / f"degree{degree:02d}", degree)
+    groups = [e.group for e in corpus.entries if e.group.minimal_block_systems()]
+    assert groups
+    for g in groups:
+        assert lattice_keys(normal_subgroups(g)) == lattice_keys(reference_normal_subgroups(g)), g.name
+
+
+def test_normal_subgroups_over_several_join_rounds():
+    # in (C2)^4 every subgroup is normal; one of order 8 joins three
+    # atoms, so it first appears in the second round of joins
+    g = PermutationGroup.from_cycles(8, [[(0, 1)], [(2, 3)], [(4, 5)], [(6, 7)]])
+    norms = normal_subgroups(g)
+    assert [sum(h.order == 2**k for h in norms) for k in range(5)] == [1, 15, 35, 15, 1]
+    assert lattice_keys(norms) == lattice_keys(reference_normal_subgroups(g))
 
 
 def test_normal_subgroup_counts():

@@ -6,12 +6,16 @@ against a complete subgroup-lattice enumeration of the direct product.
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from derange import subdirect
+from derange.corpus import load_corpus
 from derange.group import GroupError, PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm
+from derange.pipeline import verify_degree
 from derange.subdirect import (
     QuotientModel,
     SubdirectDescriptor,
@@ -22,6 +26,9 @@ from derange.subdirect import (
     quotient_isomorphisms,
     subdirect_derangement,
 )
+from oracles import reference_isomorphisms
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
 
 def cyc(degree, *cycles):
@@ -203,6 +210,25 @@ class TestQuotientIsomorphisms:
                 for y in range(6):
                     assert f[table_mult(qa, x, y)] == table_mult(qb, f[x], f[y])
 
+    def test_match_reference_on_degree9_verify(self, monkeypatch):
+        # every quotient pair verify_degree(9) searches, in the reference's
+        # order and form
+        searched = []
+        real = subdirect.quotient_isomorphisms
+
+        def record(q1, q2, *args, **kwargs):
+            searched.append((q1, q2))
+            return real(q1, q2, *args, **kwargs)
+
+        monkeypatch.setattr(subdirect, "quotient_isomorphisms", record)
+        assert verify_degree(9, corpus=load_corpus(FIXTURES / "degree09", 9)).verdict == "verified"
+        monkeypatch.undo()
+        assert len(searched) == 377
+        for q1, q2 in searched:
+            got = [iso.tolist() for iso in quotient_isomorphisms(q1, q2, dedup=False)]
+            want = [iso.tolist() for iso in reference_isomorphisms(q1, q2)]
+            assert got == want, (q1.parent.name, q1.kernel.order, q2.parent.name, q2.kernel.order)
+
     def test_iso_cap(self):
         qa, qb = quotient(V4, trivial(4)), quotient(V4, trivial(4))
         with pytest.raises(ResourceCapExceeded):
@@ -333,6 +359,14 @@ class TestGoursat:
         with pytest.raises(ResourceCapExceeded):
             goursat_enumerate(C4, C4, quotient_cap=3)
 
+    def test_degree_envelope_enforced(self):
+        # 200 + 60 points would wrap the uint8 images of the product
+        with pytest.raises(GroupError, match="exceed the 250-point envelope"):
+            goursat_enumerate(trivial(200), trivial(60))
+        descs = goursat_enumerate(trivial(125), trivial(125))
+        assert [d.subgroup_order for d in descs] == [1]
+        assert materialize_group(descs[0]).degree == 250
+
     def test_deterministic(self):
         a = goursat_enumerate(S3, S3, dedup=False)
         b = goursat_enumerate(S3, S3, dedup=False)
@@ -363,6 +397,14 @@ class TestMaterialize:
                 p2, _ = G.induced_action(list(range(G1.degree, G1.degree + G2.degree)))
                 assert p1.order == G1.order
                 assert p2.order == G2.order
+
+    def test_point_map_not_an_isomorphism_rejected(self):
+        d = next(d for d in goursat_enumerate(S3, S3) if d.quotient_order == 6)
+        g3, g2 = d.q1.generating_points()  # orders 3 and 2
+        bad = d.point_map.copy()
+        bad[g3], bad[g2] = d.point_map[g2], d.point_map[g3]
+        with pytest.raises(GroupError, match="not an isomorphism"):
+            materialize_group(SubdirectDescriptor(d.q1, d.q2, bad))
 
     def test_materialized_elements_satisfy_matching(self):
         for d in goursat_enumerate(S4, S3):
