@@ -41,7 +41,7 @@ from .derangements import (
 )
 from .gf import FieldError, FieldSpec
 from .group import BlockSystem, GroupError, PermutationGroup, ResourceCapExceeded
-from .perm import MAX_DEGREE, Perm, PermError, compose
+from .perm import MAX_DEGREE, Perm, PermError
 from .pipeline import VerificationReport, VerifyCaps, emit_report, verify_degree
 from .structure import conjugacy_classes, normal_subgroups, sylow_subgroup
 from .subdirect import (
@@ -80,7 +80,6 @@ __all__ = [
     "VerifyCaps",
     "check_cover",
     "classify_case",
-    "compose",
     "conjugacy_classes",
     "count_nonderangements",
     "d_sequences",

@@ -1,30 +1,12 @@
-"""Hot loops with two interchangeable lanes.
+"""Exhaustive numpy scans behind the cover toolkit and the row helpers.
 
-DERANGE_BACKEND=numpy forces the pure-numpy implementations;
-DERANGE_BACKEND=numba insists on the jit lane and fails loudly if numba
-is missing; unset picks numba when importable.  Both lanes are exact
-and tested against each other, so the flag only moves time around.
+Each scan is exact integer work over fixed-width arrays: vector counts
+over GF(q)^d visited in chunks of _CHUNK vectors, and fixed-point and
+element-order scans over (m, degree) permutation rows.  The four public
+names are bound by the layer tracer in ``perfbench/spans.py``.
 """
 
-import os
-
 import numpy as np
-
-_FLAG = os.environ.get("DERANGE_BACKEND", "").strip().lower()
-if _FLAG not in ("", "numba", "numpy"):
-    raise RuntimeError(f"DERANGE_BACKEND must be 'numba' or 'numpy', got {_FLAG!r}")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag
-    _HAVE_NUMBA = False
-
-if _FLAG == "numba" and not _HAVE_NUMBA:
-    raise RuntimeError("DERANGE_BACKEND=numba but numba is not importable")
-
-BACKEND = "numpy" if _FLAG == "numpy" else ("numba" if _HAVE_NUMBA else "numpy")
 
 _CHUNK = 1 << 14
 
@@ -39,9 +21,11 @@ def _decode_block(start: int, stop: int, q: int, d: int) -> np.ndarray:
     return out
 
 
-# --- good-vector count: v with a.v = 0 and every coordinate nonzero -------
-
-def _good_count_np(add, mul, q, d, normal):
+def good_count_scan(field, d: int, normal) -> int:
+    """Vectors v with a.v = 0 and every coordinate nonzero, counted by an
+    exhaustive scan over all q^d vectors; the dumb oracle."""
+    normal = np.asarray(normal, dtype=np.int64)
+    add, mul, q = field.add, field.mul, field.q
     total = q**d
     count = 0
     for start in range(0, total, _CHUNK):
@@ -54,48 +38,12 @@ def _good_count_np(add, mul, q, d, normal):
     return count
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _good_count_nb(add, mul, q, d, normal):  # pragma: no cover - jit
-        vec = np.zeros(d, dtype=np.int64)
-        total = q**d
-        count = 0
-        for _ in range(total):
-            ok = True
-            for i in range(d):
-                if vec[i] == 0:
-                    ok = False
-                    break
-            if ok:
-                acc = 0
-                for i in range(d):
-                    acc = add[acc, mul[normal[i], vec[i]]]
-                if acc == 0:
-                    count += 1
-            i = d - 1
-            while i >= 0:
-                vec[i] += 1
-                if vec[i] == q:
-                    vec[i] = 0
-                    i -= 1
-                else:
-                    break
-        return count
-
-
-def good_count_scan(field, d: int, normal, backend: str | None = None) -> int:
-    """Exhaustive count over all q^d vectors; the dumb oracle."""
-    normal = np.asarray(normal, dtype=np.int64)
-    lane = backend or BACKEND
-    if lane == "numba":
-        return int(_good_count_nb(field.add, field.mul, field.q, d, normal))
-    return _good_count_np(field.add, field.mul, field.q, d, normal)
-
-
-# --- cover check: does every vector lie on some listed hyperplane? --------
-
-def _cover_all_np(add, mul, q, d, normals):
+def cover_all_scan(field, d: int, normals) -> bool:
+    """Does every vector of GF(q)^d lie on one of the listed hyperplanes?"""
+    normals = np.asarray(normals, dtype=np.int64)
+    if normals.ndim != 2 or normals.shape[0] == 0:
+        return field.q**d <= 1
+    add, mul, q = field.add, field.mul, field.q
     total = q**d
     for start in range(0, total, _CHUNK):
         vecs = _decode_block(start, min(start + _CHUNK, total), q, d)
@@ -108,76 +56,18 @@ def _cover_all_np(add, mul, q, d, normals):
     return True
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _cover_all_nb(add, mul, q, d, normals):  # pragma: no cover - jit
-        vec = np.zeros(d, dtype=np.int64)
-        total = q**d
-        m = normals.shape[0]
-        for _ in range(total):
-            covered = False
-            for r in range(m):
-                acc = 0
-                for i in range(d):
-                    acc = add[acc, mul[normals[r, i], vec[i]]]
-                if acc == 0:
-                    covered = True
-                    break
-            if not covered:
-                return False
-            i = d - 1
-            while i >= 0:
-                vec[i] += 1
-                if vec[i] == q:
-                    vec[i] = 0
-                    i -= 1
-                else:
-                    break
-        return True
-
-
-def cover_all_scan(field, d: int, normals, backend: str | None = None) -> bool:
-    normals = np.asarray(normals, dtype=np.int64)
-    if normals.ndim != 2 or normals.shape[0] == 0:
-        return field.q**d <= 1
-    lane = backend or BACKEND
-    if lane == "numba":
-        return bool(_cover_all_nb(field.add, field.mul, field.q, d, normals))
-    return _cover_all_np(field.add, field.mul, field.q, d, normals)
-
-
-# --- permutation-row scans -------------------------------------------------
-
-def _fix_any_count_np(rows, points):
-    return int((rows[:, points] == points[None, :]).any(axis=1).sum())
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _fix_any_count_nb(rows, points):  # pragma: no cover - jit
-        count = 0
-        for r in range(rows.shape[0]):
-            for j in range(points.size):
-                if rows[r, points[j]] == points[j]:
-                    count += 1
-                    break
-        return count
-
-
-def fix_any_count(rows: np.ndarray, points, backend: str | None = None) -> int:
+def fix_any_count(rows: np.ndarray, points) -> int:
     """How many rows fix at least one of the given points."""
     points = np.asarray(points, dtype=np.int64)
     if rows.shape[0] == 0 or points.size == 0:
         return 0
-    lane = backend or BACKEND
-    if lane == "numba":
-        return int(_fix_any_count_nb(rows, points))
-    return _fix_any_count_np(rows, points)
+    return int((rows[:, points] == points[None, :]).any(axis=1).sum())
 
 
-def _row_orders_np(rows):
+def row_orders(rows: np.ndarray) -> np.ndarray:
+    """Element order of each permutation row (lcm of its cycle lengths)."""
+    if rows.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
     m, n = rows.shape
     ident = np.arange(n, dtype=np.intp)
     base = rows.astype(np.intp)
@@ -191,41 +81,3 @@ def _row_orders_np(rows):
             break
         cur = np.take_along_axis(base, cur, axis=1)
     return np.lcm.reduce(cyclen, axis=1)
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _row_orders_nb(rows):  # pragma: no cover - jit
-        m, n = rows.shape
-        out = np.empty(m, dtype=np.int64)
-        seen = np.zeros(n, dtype=np.uint8)
-        for r in range(m):
-            for j in range(n):
-                seen[j] = 0
-            o = 1
-            for s in range(n):
-                if seen[s]:
-                    continue
-                ln = 0
-                x = s
-                while not seen[x]:
-                    seen[x] = 1
-                    x = rows[r, x]
-                    ln += 1
-                a, b = o, ln
-                while b:
-                    a, b = b, a % b
-                o = o * ln // a
-            out[r] = o
-        return out
-
-
-def row_orders(rows: np.ndarray, backend: str | None = None) -> np.ndarray:
-    """Element order of each permutation row (lcm of its cycle lengths)."""
-    if rows.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    lane = backend or BACKEND
-    if lane == "numba":
-        return _row_orders_nb(rows)
-    return _row_orders_np(rows)

@@ -136,9 +136,7 @@ def rank_over_field(field: FieldSpec, rows: np.ndarray) -> int:
     return rank
 
 
-def check_cover(
-    cover: CoverInstance, cap: int = EXHAUSTION_CAP, backend: str | None = None
-) -> tuple[bool, bool, bool]:
+def check_cover(cover: CoverInstance, cap: int = EXHAUSTION_CAP) -> tuple[bool, bool, bool]:
     """(covers_all, trivial_intersection, bound_ok); sets the instance flags.
 
     bound_ok is vacuously true unless both conditions hold, in which case
@@ -148,7 +146,7 @@ def check_cover(
     if q**d > cap:
         raise ResourceCapExceeded(f"q^d = {q**d} exceeds exhaustion cap {cap}")
     rows = cover.normal_rows()
-    covers_all = cover_all_scan(cover.field, d, rows, backend=backend)
+    covers_all = cover_all_scan(cover.field, d, rows)
     trivial = rank_over_field(cover.field, rows) == d if len(rows) else d == 0
     cover.covers_all = covers_all
     cover.trivial_intersection = trivial
@@ -159,8 +157,7 @@ def check_cover(
 
 
 def good_count_bruteforce(
-    a: Hyperplane, field: FieldSpec, d: int | None = None,
-    cap: int = EXHAUSTION_CAP, backend: str | None = None,
+    a: Hyperplane, field: FieldSpec, d: int | None = None, cap: int = EXHAUSTION_CAP
 ) -> int:
     """Exact count by scanning all q^d vectors; oracle for the formula."""
     if d is None:
@@ -169,7 +166,7 @@ def good_count_bruteforce(
         raise FieldError("normal length does not match dimension")
     if field.q**d > cap:
         raise ResourceCapExceeded(f"q^d = {field.q**d} exceeds exhaustion cap {cap}")
-    return good_count_scan(field, d, np.array(a.normal, dtype=np.int64), backend=backend)
+    return good_count_scan(field, d, np.array(a.normal, dtype=np.int64))
 
 
 def min_cover_search(

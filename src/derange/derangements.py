@@ -12,13 +12,12 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import fix_any_count
-from .group import GroupError, PermutationGroup, ResourceCapExceeded
+from .group import GroupError, PermutationGroup, ResourceCapExceeded, factorize
 from .perm import Perm
 from .structure import (
     ConjugacyClassTable,
     conjugacy_classes,
     is_prime,
-    p_part,
     sylow_subgroup,
 )
 
@@ -244,11 +243,9 @@ def sylow_certificate(
     n = action.n
     if n % p:
         raise GroupError(f"{p} does not divide the orbit length {n}")
-    pk = p_part(n, p)
+    k = dict(factorize(n))[p]
+    pk = p**k
     b = n // pk
-    k = 0
-    while p**k < pk:
-        k += 1
     P = sylow if sylow is not None else sylow_subgroup(action.group, p)
     if P.degree != action.group.degree or not P.is_subgroup_of(action.group):
         raise GroupError("provided Sylow subgroup does not sit inside the group")
@@ -342,22 +339,6 @@ def _sylow_derangement(P: PermutationGroup, action: TwoOrbitAction) -> Perm | No
 # ---------------------------------------------------------------------------
 # case routing for n = product of at most two primes
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def classify_case(n: int) -> str:
     """Which argument covers orbit length n.
 
@@ -369,7 +350,7 @@ def classify_case(n: int) -> str:
     """
     if n < 2:
         raise GroupError(f"need n >= 2, got {n}")
-    factors = _factorize(n)
+    factors = factorize(n)
     if len(factors) == 1:
         p, e = factors[0]
         return "equal-primes" if e == 2 else "prime-power"

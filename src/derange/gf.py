@@ -8,7 +8,7 @@ every run of every machine computes the same tables.
 
 import numpy as np
 
-from .group import GroupError
+from .group import GroupError, factorize
 
 
 class FieldError(ValueError):
@@ -28,21 +28,10 @@ PINNED_MODULI = {
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """q = p^e with p prime, or FieldError."""
-    if q < 2:
+    factors = factorize(q)
+    if len(factors) != 1:
         raise FieldError(f"{q} is not a prime power")
-    p = None
-    for d in range(2, q + 1):
-        if q % d == 0:
-            p = d
-            break
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise FieldError(f"{q} is not a prime power")
-    return p, e
+    return factors[0]
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:

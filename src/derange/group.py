@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .perm import Perm, invert_rows, perms_of, rows_of
-
-
-class GroupError(ValueError):
-    pass
+from .perm import GroupError, Perm, rows_of
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -272,11 +268,6 @@ class PermutationGroup:
         image = PermutationGroup(len(pts), gens)
         return image, relabel
 
-    def project(self, g: Perm, relabel: dict[int, int]) -> Perm:
-        """Image of one element under an induced_action relabeling."""
-        pts = sorted(relabel, key=relabel.get)
-        return Perm([relabel[g(p)] for p in pts], validate=False)
-
     # --- element streaming -------------------------------------------------
 
     def element_blocks(self, block_rows: int = 1 << 15):
@@ -497,33 +488,22 @@ def _refines(finer: np.ndarray, coarser: np.ndarray) -> bool:
     return True
 
 
-def closure_rows(degree: int, gen_rows: np.ndarray, cap: int | None = None) -> np.ndarray:
-    """All elements of <gens> as rows, by breadth-first word closure.
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization [(p, e), ...] of n, primes increasing; [] for n < 2.
 
-    Independent of the stabilizer chain; used as a cross-check oracle and
-    for small hull computations.  Rows come out sorted lexicographically.
+    Trial division: quick for the small numbers and smooth group orders
+    it is used on.
     """
-    ident = np.arange(degree, dtype=np.uint8)
-    if len(gen_rows) == 0:
-        return ident[None, :]
-    gens = np.asarray(gen_rows, dtype=np.uint8)
-    seen = {ident.tobytes()}
-    rows = [ident]
-    frontier = ident[None, :]
-    while frontier.size:
-        new = []
-        for g in gens:
-            prod = g[frontier]  # frontier rows, then g
-            for row in prod:
-                k = row.tobytes()
-                if k not in seen:
-                    seen.add(k)
-                    new.append(row)
-        if cap is not None and len(rows) + len(new) > cap:
-            raise ResourceCapExceeded(f"closure exceeds cap {cap}")
-        if not new:
-            break
-        frontier = np.array(new, dtype=np.uint8)
-        rows.extend(new)
-    out = np.array(rows, dtype=np.uint8)
-    return out[np.lexsort(out.T[::-1])]
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out

@@ -19,6 +19,10 @@ class PermError(ValueError):
     pass
 
 
+class GroupError(ValueError):
+    pass
+
+
 class Perm:
     """An immutable permutation; ``images[i]`` is the image of point i."""
 
@@ -163,11 +167,6 @@ class Perm:
         return [int(x) for x in self.images]
 
 
-def compose(f: Perm, g: Perm) -> Perm:
-    """The permutation mapping x to g(f(x))."""
-    return f * g
-
-
 # ---------------------------------------------------------------------------
 # batched helpers on (m, degree) uint8 row arrays
 
@@ -186,11 +185,6 @@ def _img(g) -> np.ndarray:
 def rows_then(rows: np.ndarray, g) -> np.ndarray:
     """Row-wise products row * g (apply the row first, then g)."""
     return _img(g)[rows]
-
-
-def then_rows(g, rows: np.ndarray) -> np.ndarray:
-    """Row-wise products g * row (apply g first, then the row)."""
-    return rows[:, _img(g)]
 
 
 def invert_rows(rows: np.ndarray) -> np.ndarray:
@@ -212,7 +206,20 @@ def conjugate_rows(rows: np.ndarray, g, g_inv=None) -> np.ndarray:
     return g[rows[:, g_inv]]
 
 
-def rows_fix_any(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows having at least one fixed point among points."""
-    pts = np.asarray(points)
-    return (rows[:, pts] == pts[None, :]).any(axis=1)
+ROW_KEY_MAX_DEGREE = 15
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Base-n int64 key of each row of an (m, n) row array.
+
+    Keys sort like the rows do lexicographically.  They are exact only
+    for degree n <= 15, since 15^15 < 2^63 <= 16^16; a larger degree
+    raises GroupError before any work.
+    """
+    n = rows.shape[1]
+    if n > ROW_KEY_MAX_DEGREE:
+        raise GroupError(
+            f"row keys are exact only up to degree {ROW_KEY_MAX_DEGREE}, got degree {n}"
+        )
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return rows.astype(np.int64) @ weights

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import GroupCorpus, enumerate_transitive, imprimitive_filter
+from .derangements import pndr_pair_bound
 from .group import GroupError, ResourceCapExceeded
 from .structure import normal_subgroups
 from .subdirect import (
@@ -134,7 +135,7 @@ def verify_degree(
         for j in range(i, m):
             pair_index += 1
             e1, e2 = entries[i], entries[j]
-            if e1.pndr.fraction + e2.pndr.fraction < 1:
+            if pndr_pair_bound(e1.pndr, e2.pndr) < 1:
                 report.pairs_pruned += 1
                 continue
             report.pairs_checked += 1

@@ -9,28 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import BSGS, GroupError, PermutationGroup, ResourceCapExceeded
+from .group import BSGS, GroupError, PermutationGroup, ResourceCapExceeded, factorize
 from .perm import Perm, conjugate_rows
 
 
 def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
-    out = 1
-    while n % p == 0:
-        n //= p
-        out *= p
-    return out
+    """Largest power of the prime p dividing n."""
+    return p ** dict(factorize(n)).get(p, 0)
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return factorize(p) == [(p, 1)]
 
 
 def class_orbit_rows(group: PermutationGroup, rep: Perm, cap: int | None = None) -> np.ndarray:
@@ -89,13 +78,6 @@ class ConjugacyClassTable:
     @property
     def reps(self) -> list[Perm]:
         return [c.rep for c in self.classes]
-
-    def centralizer_order(self, i: int) -> int:
-        # orbit-stabilizer for the conjugation action
-        return self.group.order // self.classes[i].size
-
-    def class_rows(self, i: int) -> np.ndarray:
-        return class_orbit_rows(self.group, self.classes[i].rep)
 
 
 def conjugacy_classes(

@@ -19,6 +19,7 @@ from .derangements import TwoOrbitAction
 from .group import GroupError, PermutationGroup, ResourceCapExceeded
 from .perm import MAX_DEGREE, Perm, rows_then
 from .structure import normal_subgroups
+from .subgroups import table_closure
 
 QUOTIENT_CAP = 2000
 ISO_CAP = 10**5
@@ -87,7 +88,7 @@ class QuotientModel:
                 if size == m:
                     break
                 trial = gens + [p]
-                got = _closure_points(self.table, trial).size
+                got = table_closure(self.table.T, trial).size
                 if got > size:
                     gens, size = trial, got
             if size != m:
@@ -204,23 +205,6 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
     if model.order * N.order != G.order:
         raise GroupError("quotient order times kernel order is not the parent order")
     return model
-
-
-def _closure_points(table: np.ndarray, gens: list[int]) -> np.ndarray:
-    """Points of the subgroup generated by the given quotient points."""
-    seen = np.zeros(len(table), dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        cur = np.asarray(frontier)
-        frontier = []
-        for g in gens:
-            prod = np.unique(table[g, cur])
-            fresh = prod[~seen[prod]]
-            if fresh.size:
-                seen[fresh] = True
-                frontier.extend(fresh.tolist())
-    return np.nonzero(seen)[0]
 
 
 def _order_multiset(model: QuotientModel) -> bytes:

@@ -16,24 +16,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import row_orders
-from .group import GroupError, PermutationGroup, ResourceCapExceeded
-from .perm import Perm
+from .group import GroupError, PermutationGroup, ResourceCapExceeded, factorize
+from .perm import Perm, invert_rows, row_keys
 
 ORDER_CAP = 6000
 
 
-def _encode(rows: np.ndarray, degree: int) -> np.ndarray:
-    weights = (degree ** np.arange(degree - 1, -1, -1)).astype(np.int64)
-    return rows.astype(np.int64) @ weights
+def table_closure(mult: np.ndarray, gens) -> np.ndarray:
+    """Sorted indices of the subgroup generated by gens, breadth first
+    over a multiplication table with mult[x, g] = x*g and 0 the identity."""
+    gens = np.asarray(gens, dtype=np.intp)
+    seen = np.zeros(len(mult), dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        reached = np.zeros_like(seen)
+        reached[mult[frontier[:, None], gens]] = True
+        reached &= ~seen
+        seen |= reached
+        frontier = np.flatnonzero(reached)
+    return np.flatnonzero(seen)
 
 
 @dataclass
 class ElementTable:
     """All elements of a small group in lex order, with index-space
-    multiplication, inverses, element orders, and conjugacy class ids."""
+    multiplication, inverses, element orders, and conjugacy class ids.
+
+    Elements are located by their row keys, so the group's degree must
+    be at most 15 (see perm.row_keys).
+    """
 
     group: PermutationGroup
     rows: np.ndarray = field(repr=False)
+    keys: np.ndarray = field(repr=False)
     mult: np.ndarray = field(repr=False)
     inv: np.ndarray = field(repr=False)
     orders: np.ndarray = field(repr=False)
@@ -46,9 +62,9 @@ class ElementTable:
             raise ResourceCapExceeded(f"group order {m} over element table cap {cap}")
         n = group.degree
         rows = group.element_rows()
-        enc = _encode(rows, n)
-        rows = rows[np.argsort(enc)]
-        enc = np.sort(enc)
+        keys = row_keys(rows)
+        rows = rows[np.argsort(keys)]
+        keys = np.sort(keys)
         # identity is the lex-least permutation, so index 0
         if not (rows[0] == np.arange(n, dtype=np.uint8)).all():
             raise GroupError("row encoding did not sort the identity first")
@@ -57,18 +73,13 @@ class ElementTable:
         mult = np.empty((m, m), dtype=dtype)
         for i in range(m):
             # (elem_i * elem_j).images = rows[j][rows[i]], vectorized over j
-            mult[i] = np.searchsorted(enc, _encode(rows[:, rows[i]], n))
-
-        inv_rows = np.empty_like(rows)
-        ar = np.arange(n, dtype=np.uint8)
-        for i in range(m):
-            inv_rows[i, rows[i]] = ar
-        inv = np.searchsorted(enc, _encode(inv_rows, n)).astype(np.int64)
-
+            mult[i] = np.searchsorted(keys, row_keys(rows[:, rows[i]]))
+        inv = np.searchsorted(keys, row_keys(invert_rows(rows))).astype(np.int64)
         orders = row_orders(rows)
 
         class_id = np.full(m, -1, dtype=np.int64)
-        gens = [int(np.searchsorted(enc, _encode(g.images[None, :], n)[0])) for g in group.generators]
+        table = cls(group, rows, keys, mult, inv, orders, class_id)
+        gens = [table.index(g) for g in group.generators]
         nxt = 0
         for x in range(m):
             if class_id[x] >= 0:
@@ -85,7 +96,7 @@ class ElementTable:
                             fresh.append(c)
                 frontier = fresh
             nxt += 1
-        return cls(group, rows, mult, inv, orders, class_id)
+        return table
 
     @property
     def size(self) -> int:
@@ -94,21 +105,17 @@ class ElementTable:
     def perm(self, i: int) -> Perm:
         return Perm(self.rows[i], validate=False)
 
+    def index(self, g: Perm) -> int:
+        """Index of an element of the group."""
+        key = row_keys(g.images[None, :])[0]
+        i = int(np.searchsorted(self.keys, key))
+        if i == self.size or self.keys[i] != key:
+            raise GroupError("permutation is not an element of the table's group")
+        return i
+
     def closure(self, gens: list[int]) -> np.ndarray:
         """Sorted element indices of the subgroup the indices generate."""
-        seen = np.zeros(self.size, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            cur = np.asarray(frontier)
-            frontier = []
-            for g in gens:
-                prod = np.unique(self.mult[cur, g])
-                fresh = prod[~seen[prod]]
-                if fresh.size:
-                    seen[fresh] = True
-                    frontier.extend(fresh.tolist())
-        return np.nonzero(seen)[0]
+        return table_closure(self.mult, gens)
 
     def conjugators(self, gens: list[int], target_sorted: np.ndarray) -> np.ndarray:
         """All y with every generator conjugate y^-1 g y inside target."""
@@ -121,19 +128,6 @@ class ElementTable:
             pos = np.minimum(pos, len(target_sorted) - 1)
             ok &= target_sorted[pos] == conj
         return ys[ok]
-
-
-def _is_prime_power(o: int) -> bool:
-    if o < 2:
-        return False
-    p = 2
-    while p * p <= o:
-        if o % p == 0:
-            while o % p == 0:
-                o //= p
-            return o == 1
-        p += 1
-    return True
 
 
 @dataclass
@@ -158,7 +152,8 @@ def subgroup_classes(
     (order, element indices).  Includes the trivial group and the parent."""
     et = table if table is not None else ElementTable.of(parent, cap)
     m = et.size
-    pp_mask = np.array([_is_prime_power(int(o)) for o in et.orders])
+    prime_power_orders = [o for o in np.unique(et.orders).tolist() if len(factorize(o)) == 1]
+    pp_mask = np.isin(et.orders, prime_power_orders)
 
     classes: list[SubgroupClass] = []
     buckets: dict[tuple, list[int]] = {}
@@ -216,21 +211,7 @@ def subgroup_classes(
         frontier = fresh
 
     whole = np.arange(m, dtype=np.int64)
-    add(whole, [int(np.searchsorted(_encode(et.rows, parent.degree), _encode(g.images[None, :], parent.degree)[0])) for g in parent.generators])
+    add(whole, [et.index(g) for g in parent.generators])
 
     classes.sort(key=lambda c: (c.order, c.indices.tobytes()))
     return classes
-
-
-def subgroup_class_groups(
-    parent: PermutationGroup,
-    table: ElementTable | None = None,
-    cap: int = ORDER_CAP,
-) -> list[PermutationGroup]:
-    """Subgroup class representatives as permutation groups."""
-    et = table if table is not None else ElementTable.of(parent, cap)
-    out = []
-    for c in subgroup_classes(parent, et, cap):
-        gens = [et.perm(i) for i in c.gen_indices]
-        out.append(PermutationGroup(parent.degree, gens))
-    return out

@@ -14,9 +14,41 @@ from pathlib import Path
 
 import numpy as np
 
-from derange.group import PermutationGroup
+from derange.group import PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm
 from derange.structure import conjugacy_classes, normal_closure
+
+
+def closure_rows(degree: int, gen_rows: np.ndarray, cap: int | None = None) -> np.ndarray:
+    """All elements of <gens> as rows, by breadth-first word closure.
+
+    Independent of the stabilizer chain and of any element table.  Rows
+    come out sorted lexicographically.
+    """
+    ident = np.arange(degree, dtype=np.uint8)
+    if len(gen_rows) == 0:
+        return ident[None, :]
+    gens = np.asarray(gen_rows, dtype=np.uint8)
+    seen = {ident.tobytes()}
+    rows = [ident]
+    frontier = ident[None, :]
+    while frontier.size:
+        new = []
+        for g in gens:
+            prod = g[frontier]  # frontier rows, then g
+            for row in prod:
+                k = row.tobytes()
+                if k not in seen:
+                    seen.add(k)
+                    new.append(row)
+        if cap is not None and len(rows) + len(new) > cap:
+            raise ResourceCapExceeded(f"closure exceeds cap {cap}")
+        if not new:
+            break
+        frontier = np.array(new, dtype=np.uint8)
+        rows.extend(new)
+    out = np.array(rows, dtype=np.uint8)
+    return out[np.lexsort(out.T[::-1])]
 
 
 def subgroup_scan(G):

@@ -26,6 +26,7 @@ import subprocess
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from derange.derangements import (
 )
 from derange.gf import FieldSpec
 from derange.group import Perm, PermutationGroup
+from derange.perm import row_keys
 from derange.pipeline import emit_report, verify_degree
 from derange.structure import normal_subgroups
 from derange.subdirect import goursat_enumerate, materialize, materialize_group
@@ -247,12 +249,6 @@ def _direct_product(G1: PermutationGroup, G2: PermutationGroup) -> PermutationGr
     return P
 
 
-def _encode(rows: np.ndarray) -> np.ndarray:
-    n = rows.shape[1]
-    pows = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return rows.astype(np.int64) @ pows
-
-
 def _conjugate_inside(parent_rows, K: PermutationGroup, target_enc: np.ndarray) -> bool:
     """Does some element of the parent conjugate K onto the target set?"""
     T = parent_rows
@@ -262,7 +258,7 @@ def _conjugate_inside(parent_rows, K: PermutationGroup, target_enc: np.ndarray) 
     mask = np.ones(len(T), dtype=bool)
     for g in K.generators:
         conj = np.take_along_axis(T, g.images[Tinv].astype(np.intp), axis=1)
-        e = _encode(conj)
+        e = row_keys(conj)
         pos = np.searchsorted(target_enc, e).clip(0, len(target_enc) - 1)
         mask &= target_enc[pos] == e
         if not mask.any():
@@ -284,11 +280,11 @@ def test_c07_goursat_matches_subgroup_scan(corpora):
         subdirect = []
         for c in subgroup_classes(prod, et):
             rows = et.rows[c.indices]
-            if len(np.unique(_encode(rows[:, :n1]))) != G1.order:
+            if len(np.unique(row_keys(rows[:, :n1]))) != G1.order:
                 continue
-            if len(np.unique(_encode(rows[:, n1:]) )) != G2.order:
+            if len(np.unique(row_keys(rows[:, n1:]))) != G2.order:
                 continue
-            subdirect.append((c.order, np.sort(_encode(rows))))
+            subdirect.append((c.order, np.sort(row_keys(rows))))
         descs = goursat_enumerate(G1, G2)
         assert len(descs) == len(subdirect), (G1.name, G2.name)
         hits = []
@@ -316,9 +312,7 @@ def _qualifying_primes(n: int) -> list[tuple[int, int, int]]:
     for p in range(2, n + 1):
         if n % p or any(p % r == 0 for r in range(2, p)):
             continue
-        pk, m = 1, n
-        while m % p == 0:
-            pk, m = pk * p, m // p
+        pk = gcd(n, p**n)
         b = n // pk
         if b < p:
             out.append((p, pk, b))

@@ -15,7 +15,7 @@ from derange.derangements import (
     pndr_pair_bound,
     sylow_certificate,
 )
-from derange.group import GroupError, PermutationGroup
+from derange.group import GroupError, PermutationGroup, factorize
 from derange.perm import Perm
 from derange.structure import sylow_subgroup
 
@@ -355,20 +355,10 @@ class TestClassify:
         assert classify_case(36) == "not-covered"
 
     def test_routing_consistency_sweep(self):
-        # independent re-derivation of the routing rules
-        def factor(n):
-            out, d = {}, 2
-            while d * d <= n:
-                while n % d == 0:
-                    out[d] = out.get(d, 0) + 1
-                    n //= d
-                d += 1
-            if n > 1:
-                out[n] = out.get(n, 0) + 1
-            return out
-
+        # independent re-derivation of the routing rules from the
+        # factorization, which test_group checks by brute force
         for n in range(2, 400):
-            f = factor(n)
+            f = dict(factorize(n))
             got = classify_case(n)
             if len(f) == 1:
                 ((p, e),) = f.items()

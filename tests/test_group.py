@@ -8,7 +8,8 @@ from derange import (
     PermutationGroup,
     ResourceCapExceeded,
 )
-from derange.group import BSGS, closure_rows
+from derange.group import BSGS, factorize
+from oracles import closure_rows
 
 
 def cyc(degree, *cycles):
@@ -158,10 +159,11 @@ def test_induced_action_faithful_on_invariant_set():
 def test_project_matches_induced_generators():
     g = stock("S3xS3")
     img, relabel = g.induced_action([3, 4, 5])
+    pts = sorted(relabel, key=relabel.get)
     for el in [g.generators[2], g.generators[3], g.generators[0]]:
-        p = g.project(el, relabel)
+        p = Perm([relabel[el(x)] for x in pts])
         assert p.degree == 3
-        assert all(p(relabel[x]) == relabel[el(x)] for x in (3, 4, 5))
+        assert p in img
 
 
 def test_random_element_membership_and_determinism():
@@ -299,6 +301,14 @@ def test_closure_rows_cap():
     gens = [np.array(g.images) for g in stock("S5").generators]
     with pytest.raises(ResourceCapExceeded):
         closure_rows(5, gens, cap=50)
+
+
+def test_factorize_matches_brute_force():
+    primes = [p for p in range(2, 2000) if all(p % d for d in range(2, p))]
+    assert factorize(0) == factorize(1) == []
+    for n in range(2, 2000):
+        want = [(p, max(e for e in range(1, 11) if n % p**e == 0)) for p in primes if n % p == 0]
+        assert factorize(n) == want, n
 
 
 def test_generator_degree_mismatch():

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from derange import Perm, PermError, compose
+from derange import GroupError, Perm, PermError
+from derange._kernels import fix_any_count
 from derange.perm import (
     MAX_DEGREE,
     conjugate_rows,
     invert_rows,
     perms_of,
-    rows_fix_any,
+    row_keys,
     rows_of,
     rows_then,
-    then_rows,
 )
 
 
@@ -35,7 +35,6 @@ def test_compose_is_left_to_right():
     f = Perm([1, 2, 0])
     g = Perm([1, 0, 2])
     assert (f * g).to_list() == brute_compose(f, g) == [0, 2, 1]
-    assert compose(f, g).key == (f * g).key
     # associativity spot check
     h = Perm([2, 1, 0])
     assert ((f * g) * h).key == (f * (g * h)).key
@@ -127,13 +126,11 @@ def test_row_helpers_match_perm_ops():
 
     g = Perm(rng.permutation(n))
     after = rows_then(rows, g)
-    before = then_rows(g, rows)
     inv = invert_rows(rows)
     g_inv = g.inverse()
     conj = conjugate_rows(rows, g, g_inv)
     for i, p in enumerate(perms):
         assert list(after[i]) == (p * g).to_list()
-        assert list(before[i]) == (g * p).to_list()
         assert list(inv[i]) == p.inverse().to_list()
         assert list(conj[i]) == p.conjugate(g).to_list()
 
@@ -144,7 +141,16 @@ def test_rows_fix_any():
         Perm([1, 2, 3, 0]),
         Perm([0, 1, 3, 2]),
     ])
-    mask = rows_fix_any(rows, np.array([2, 3]))
-    assert list(mask) == [True, False, False]
-    mask_all = rows_fix_any(rows, np.arange(4))
-    assert list(mask_all) == [True, False, True]
+    # only the first row fixes 2 or 3; the first and third fix some point
+    assert fix_any_count(rows, np.array([2, 3])) == 1
+    assert fix_any_count(rows, np.arange(4)) == 2
+
+
+def test_row_keys_sort_like_rows_up_to_degree_15():
+    rng = np.random.default_rng(5)
+    perms = [rng.permutation(15) for _ in range(200)] + [np.arange(15)[::-1]]
+    rows = np.array(perms, dtype=np.uint8)
+    by_key = rows[np.argsort(row_keys(rows))]
+    assert [r.tobytes() for r in by_key] == sorted(r.tobytes() for r in rows)
+    with pytest.raises(GroupError, match="degree 15"):
+        row_keys(np.zeros((1, 16), dtype=np.uint8))

@@ -8,13 +8,10 @@ they pin both the completeness and the conjugacy dedup at once.
 import numpy as np
 import pytest
 
-from derange.group import PermutationGroup, ResourceCapExceeded
+from derange.group import GroupError, PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm
-from derange.subgroups import (
-    ElementTable,
-    subgroup_class_groups,
-    subgroup_classes,
-)
+from derange.subgroups import ElementTable, subgroup_classes
+from oracles import closure_rows
 
 S4 = PermutationGroup.symmetric(4)
 A5 = PermutationGroup.from_cycles(5, [[(0, 1, 2, 3, 4)], [(0, 1, 2)]])
@@ -25,8 +22,14 @@ class TestElementTable:
         et = ElementTable.of(S4)
         assert et.size == 24
         assert (et.rows[0] == np.arange(4, dtype=np.uint8)).all()
-        enc = et.rows.astype(np.int64) @ (4 ** np.arange(3, -1, -1))
-        assert (np.diff(enc) > 0).all()
+        lex = [r.tobytes() for r in et.rows]
+        assert lex == sorted(set(lex))
+
+    def test_index(self):
+        et = ElementTable.of(S4)
+        assert [et.index(et.perm(i)) for i in range(et.size)] == list(range(et.size))
+        with pytest.raises(GroupError):
+            ElementTable.of(A5).index(Perm.from_cycles(5, (0, 1)))
 
     def test_mult_matches_perm_product(self):
         et = ElementTable.of(S4)
@@ -63,6 +66,22 @@ class TestElementTable:
         sub = PermutationGroup(4, [et.perm(1), et.perm(2)])
         assert len(full) == sub.order
 
+    def test_closure_matches_word_closure(self):
+        G = PermutationGroup.symmetric(6)
+        et = ElementTable.of(G)
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            gens = rng.choice(et.size, size=int(rng.integers(1, 4)), replace=False).tolist()
+            want = closure_rows(6, et.rows[gens])
+            assert (et.rows[et.closure(gens)] == want).all()
+
+    def test_degree_past_row_key_envelope_rejected(self):
+        c16 = PermutationGroup.from_cycles(16, [[tuple(range(16))]])
+        with pytest.raises(GroupError, match="degree 15"):
+            ElementTable.of(c16)
+        with pytest.raises(GroupError, match="degree 15"):
+            subgroup_classes(c16)
+
     def test_order_cap(self):
         with pytest.raises(ResourceCapExceeded):
             ElementTable.of(PermutationGroup.symmetric(5), cap=100)
@@ -88,6 +107,10 @@ class TestSubgroupClasses:
     def test_a5_classes(self):
         cls = subgroup_classes(A5)
         assert sorted(c.order for c in cls) == [1, 2, 3, 4, 5, 6, 10, 12, 60]
+
+    def test_cyclic_group_at_row_key_envelope(self):
+        c15 = PermutationGroup.from_cycles(15, [[tuple(range(15))]])
+        assert [c.order for c in subgroup_classes(c15)] == [1, 3, 5, 15]
 
     def test_reps_are_subgroups_with_matching_indices(self):
         Sn = PermutationGroup.symmetric(4)
@@ -117,7 +140,12 @@ class TestSubgroupClasses:
 
     def test_transitive_counts(self):
         for n, want in [(2, 1), (3, 2), (4, 5), (5, 5), (6, 16)]:
-            groups = subgroup_class_groups(PermutationGroup.symmetric(n))
+            Sn = PermutationGroup.symmetric(n)
+            et = ElementTable.of(Sn)
+            groups = [
+                PermutationGroup(n, [et.perm(i) for i in c.gen_indices])
+                for c in subgroup_classes(Sn, et)
+            ]
             assert sum(1 for G in groups if G.is_transitive()) == want
 
     def test_deterministic(self):

@@ -43,6 +43,7 @@ import numpy as np
 from derange.corpus import enumerate_transitive, group_json
 from derange.gf import FieldSpec
 from derange.group import Perm, PermutationGroup
+from derange.perm import row_keys
 from derange.subdirect import goursat_enumerate, materialize_group
 from derange.subgroups import ElementTable, subgroup_classes
 
@@ -54,13 +55,6 @@ FIXTURE_ROOT = Path(__file__).resolve().parent.parent / "src" / "derange" / "fix
 
 def perm(images) -> Perm:
     return Perm(np.asarray(images, dtype=np.uint8))
-
-
-def encode_rows(rows: np.ndarray) -> np.ndarray:
-    """Pack image rows into int64 keys (degree <= 19 keeps this exact)."""
-    n = rows.shape[1]
-    pows = (n ** np.arange(n - 1, -1, -1, dtype=np.int64))
-    return rows.astype(np.int64) @ pows
 
 
 def all_perm_rows(n: int) -> np.ndarray:
@@ -143,7 +137,7 @@ def block_swap_extensions() -> list[tuple[PermutationGroup, str]]:
     Tidx = T.astype(np.intp)
     Tinv = np.empty_like(T)
     np.put_along_axis(Tinv, Tidx, np.arange(10, dtype=np.uint8), axis=1)
-    t_sq = encode_rows(np.take_along_axis(T, Tidx, axis=1))
+    t_sq = row_keys(np.take_along_axis(T, Tidx, axis=1))
 
     out = []
     for entry in enumerate_transitive(5):
@@ -151,7 +145,7 @@ def block_swap_extensions() -> list[tuple[PermutationGroup, str]]:
         for di, desc in enumerate(goursat_enumerate(R, R)):
             K = materialize_group(desc)
             k_rows = K.element_rows()
-            k_enc = np.sort(encode_rows(k_rows))
+            k_enc = np.sort(row_keys(k_rows))
 
             def member(e):
                 pos = np.searchsorted(k_enc, e).clip(0, len(k_enc) - 1)
@@ -160,12 +154,12 @@ def block_swap_extensions() -> list[tuple[PermutationGroup, str]]:
             mask = member(t_sq)
             for g in K.generators:
                 conj = np.take_along_axis(T, g.images[Tinv].astype(np.intp), axis=1)
-                mask &= member(encode_rows(conj))
+                mask &= member(row_keys(conj))
                 if not mask.any():
                     break
             seen = set()
             for i in np.flatnonzero(mask):
-                coset_key = int(encode_rows(T[i][k_rows]).min())
+                coset_key = int(row_keys(T[i][k_rows]).min())
                 if coset_key in seen:
                     continue
                 seen.add(coset_key)
@@ -386,7 +380,7 @@ def conjugate_in_sn(g1: PermutationGroup, g2: PermutationGroup,
     if g1.order != g2.order:
         return False
     n = g1.degree
-    enc2 = np.sort(encode_rows(g2.element_rows()))
+    enc2 = np.sort(row_keys(g2.element_rows()))
     gens = [g.images for g in g1.generators]
     ar = np.arange(n, dtype=np.uint8)
     for lo in range(0, len(perms), chunk):
@@ -397,7 +391,7 @@ def conjugate_in_sn(g1: PermutationGroup, g2: PermutationGroup,
         mask = np.ones(len(T), dtype=bool)
         for gi in gens:
             conj = np.take_along_axis(T, gi[Tinv].astype(np.intp), axis=1)
-            e = encode_rows(conj)
+            e = row_keys(conj)
             pos = np.searchsorted(enc2, e).clip(0, len(enc2) - 1)
             mask &= enc2[pos] == e
             if not mask.any():
