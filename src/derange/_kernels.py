@@ -2,8 +2,9 @@
 
 Each scan is exact integer work over fixed-width arrays: vector counts
 over GF(q)^d visited in chunks of _CHUNK vectors, and fixed-point and
-element-order scans over (m, degree) permutation rows.  The four public
-names are bound by the layer tracer in ``perfbench/spans.py``.
+element-order scans over (m, degree) permutation rows.  The four scans
+are bound by the layer tracer in ``perfbench/spans.py``; decode_vectors
+is the one base-q decoder, shared with ``gf.FieldSpec.vector_space``.
 """
 
 import numpy as np
@@ -11,8 +12,9 @@ import numpy as np
 _CHUNK = 1 << 14
 
 
-def _decode_block(start: int, stop: int, q: int, d: int) -> np.ndarray:
-    """Vectors number start..stop-1 in the base-q odometer order."""
+def decode_vectors(start: int, stop: int, q: int, d: int) -> np.ndarray:
+    """Vectors number start..stop-1 of GF(q)^d in the base-q odometer
+    order: the last coordinate varies fastest."""
     idx = np.arange(start, stop, dtype=np.int64)
     out = np.empty((stop - start, d), dtype=np.int64)
     for i in range(d - 1, -1, -1):
@@ -29,7 +31,7 @@ def good_count_scan(field, d: int, normal) -> int:
     total = q**d
     count = 0
     for start in range(0, total, _CHUNK):
-        vecs = _decode_block(start, min(start + _CHUNK, total), q, d)
+        vecs = decode_vectors(start, min(start + _CHUNK, total), q, d)
         prods = mul[normal[None, :], vecs]
         acc = prods[:, 0]
         for i in range(1, d):
@@ -46,7 +48,7 @@ def cover_all_scan(field, d: int, normals) -> bool:
     add, mul, q = field.add, field.mul, field.q
     total = q**d
     for start in range(0, total, _CHUNK):
-        vecs = _decode_block(start, min(start + _CHUNK, total), q, d)
+        vecs = decode_vectors(start, min(start + _CHUNK, total), q, d)
         prods = mul[normals[None, :, :], vecs[:, None, :]]
         acc = prods[:, :, 0]
         for i in range(1, d):
@@ -69,15 +71,15 @@ def row_orders(rows: np.ndarray) -> np.ndarray:
     if rows.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
     m, n = rows.shape
-    ident = np.arange(n, dtype=np.intp)
-    base = rows.astype(np.intp)
-    cur = base
-    cyclen = np.zeros((m, n), dtype=np.int64)
+    ident = np.arange(n, dtype=rows.dtype)
+    flat = rows.ravel()
+    row_start = (np.arange(m, dtype=np.intp) * n)[:, None]
+    cyclen = np.zeros((m, n), dtype=np.min_scalar_type(n))
+    cur = rows  # g^k, composed by one flat gather per step
     for k in range(1, n + 1):
-        hit = (cur == ident[None, :]) & (cyclen == 0)
-        if hit.any():
-            cyclen[hit] = k
-        if (cyclen != 0).all():
+        hit = (cur == ident) & (cyclen == 0)
+        cyclen[hit] = k
+        if cyclen.all():
             break
-        cur = np.take_along_axis(base, cur, axis=1)
-    return np.lcm.reduce(cyclen, axis=1)
+        cur = flat[cur + row_start]
+    return np.lcm.reduce(cyclen.astype(np.int64), axis=1)

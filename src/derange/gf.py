@@ -8,7 +8,8 @@ every run of every machine computes the same tables.
 
 import numpy as np
 
-from .group import GroupError, factorize
+from ._kernels import decode_vectors
+from .group import factorize
 
 
 class FieldError(ValueError):
@@ -56,13 +57,8 @@ def _is_irreducible(modulus, p: int) -> bool:
         return False
     for deg in range(1, e // 2 + 1):
         # iterate monic polys of this degree by counting in base p
-        for code in range(p**deg):
-            den = []
-            c = code
-            for _ in range(deg):
-                den.append(c % p)
-                c //= p
-            den.append(1)
+        for row in decode_vectors(0, p**deg, p, deg):
+            den = row[::-1].tolist() + [1]
             if not any(_poly_mod(modulus, den, p)):
                 return False
     return True
@@ -90,13 +86,6 @@ class FieldSpec:
         self.neg = np.array([self._find_neg(x) for x in range(q)], dtype=np.int64)
         self.inv = np.array([self._find_inv(x) for x in range(q)], dtype=np.int64)
 
-    def _digits(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(x % self.p)
-            x //= self.p
-        return out
-
     def _encode(self, digits) -> int:
         x = 0
         for c in reversed(digits):
@@ -107,10 +96,10 @@ class FieldSpec:
         q, p, e = self.q, self.p, self.e
         add = np.empty((q, q), dtype=np.int64)
         mul = np.empty((q, q), dtype=np.int64)
-        for x in range(q):
-            dx = self._digits(x)
-            for y in range(q):
-                dy = self._digits(y)
+        # base-p digits of every element, lowest first
+        digits = decode_vectors(0, q, p, e)[:, ::-1].tolist()
+        for x, dx in enumerate(digits):
+            for y, dy in enumerate(digits):
                 add[x, y] = self._encode([(a + b) % p for a, b in zip(dx, dy)])
                 prod = [0] * (2 * e - 1) if e > 1 else [dx[0] * dy[0] % p]
                 if e > 1:
@@ -145,17 +134,9 @@ class FieldSpec:
             acc = self.add[acc, prods[..., i]]
         return acc
 
-    def vector_space(self, d: int, cap: int | None = None) -> np.ndarray:
+    def vector_space(self, d: int) -> np.ndarray:
         """All q^d coordinate vectors, row-major odometer order."""
-        total = self.q**d
-        if cap is not None and total > cap:
-            raise GroupError(f"q^d = {total} exceeds cap {cap}")
-        idx = np.arange(total)
-        out = np.empty((total, d), dtype=np.int64)
-        for i in range(d - 1, -1, -1):
-            out[:, i] = idx % self.q
-            idx //= self.q
-        return out
+        return decode_vectors(0, self.q**d, self.q, d)
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})"

@@ -9,7 +9,7 @@ is reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,31 +225,6 @@ class PermutationGroup:
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1 and self.degree >= 1
-
-    def point_stabilizer(self, point: int) -> "PermutationGroup":
-        """Stabilizer of a point, generated by Schreier generators."""
-        transversal = {point: Perm.identity(self.degree)}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                u = transversal[p]
-                for s in self.generators:
-                    q = s(p)
-                    if q not in transversal:
-                        transversal[q] = u * s
-                        nxt.append(q)
-            frontier = nxt
-        gens = []
-        seen = set()
-        for p in sorted(transversal):
-            u = transversal[p]
-            for s in self.generators:
-                sg = u * s * transversal[s(p)].inverse()
-                if not sg.is_identity() and sg.key not in seen:
-                    seen.add(sg.key)
-                    gens.append(sg)
-        return PermutationGroup(self.degree, gens)
 
     def induced_action(self, points) -> tuple["PermutationGroup", dict[int, int]]:
         """Faithful image of the action on an invariant point set.

@@ -29,20 +29,19 @@ class Perm:
     __slots__ = ("images", "key")
 
     def __init__(self, images, validate: bool = True):
-        arr = np.asarray(images, dtype=np.uint8)
         if validate:
-            if arr.ndim != 1 or arr.size == 0 or arr.size > MAX_DEGREE:
-                raise PermError(f"bad image array of shape {arr.shape}")
-            seen = np.zeros(arr.size, dtype=bool)
-            ok = True
+            # checked before the uint8 cast, which would wrap or overflow
             src = np.asarray(images)
-            if src.ndim != 1 or np.any(src < 0) or np.any(src >= arr.size):
-                ok = False
-            else:
-                seen[arr] = True
-                ok = bool(seen.all())
-            if not ok:
-                raise PermError(f"images are not a bijection on 0..{arr.size - 1}")
+            if src.ndim != 1 or src.size == 0 or src.size > MAX_DEGREE:
+                raise PermError(f"bad image array of shape {src.shape}")
+            if src.dtype.kind not in "iu":
+                raise PermError(f"images must be integers, not {src.dtype}")
+            hit = np.zeros(src.size, dtype=bool)
+            if src.min() >= 0 and src.max() < src.size:
+                hit[src] = True
+            if not hit.all():
+                raise PermError(f"images are not a bijection on 0..{src.size - 1}")
+        arr = np.asarray(images, dtype=np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "images", arr)
         object.__setattr__(self, "key", arr.tobytes())

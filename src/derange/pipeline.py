@@ -13,10 +13,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .corpus import GroupCorpus, enumerate_transitive, imprimitive_filter
-from .derangements import pndr_pair_bound
+from .derangements import count_nonderangements, pndr_pair_bound
 from .group import GroupError, ResourceCapExceeded
 from .structure import normal_subgroups
 from .subdirect import (
@@ -181,13 +179,10 @@ def verify_degree(
                     )
                     continue
                 group = materialize_group(desc)
-                idx = np.arange(group.degree, dtype=np.uint8)
-                found = False
-                for block in group.element_blocks():
-                    if (~(block == idx[None, :]).any(axis=1)).any():
-                        found = True
-                        break
-                if found:
+                fixers = count_nonderangements(
+                    group, range(group.degree), strategy="enumeration", enum_cap=caps.enum_cap
+                )
+                if fixers < group.order:
                     raise GroupError(
                         f"coset analysis and direct scan disagree on {pair_label} "
                         f"descriptor {d_idx}"

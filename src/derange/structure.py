@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import row_orders
 from .group import BSGS, GroupError, PermutationGroup, ResourceCapExceeded, factorize
 from .perm import Perm, conjugate_rows
 
@@ -22,7 +23,7 @@ def is_prime(p: int) -> bool:
     return factorize(p) == [(p, 1)]
 
 
-def class_orbit_rows(group: PermutationGroup, rep: Perm, cap: int | None = None) -> np.ndarray:
+def class_orbit_rows(group: PermutationGroup, rep: Perm) -> np.ndarray:
     """The full conjugacy class of rep as lex-sorted uint8 rows.
 
     Breadth-first orbit under conjugation by the generators; on a finite
@@ -40,8 +41,6 @@ def class_orbit_rows(group: PermutationGroup, rep: Perm, cap: int | None = None)
                 if k not in seen:
                     seen.add(k)
                     new.append(row)
-        if cap is not None and len(seen) > cap:
-            raise ResourceCapExceeded(f"conjugacy class exceeds cap {cap}")
         if not new:
             break
         frontier = np.array(new, dtype=np.uint8)
@@ -75,10 +74,6 @@ class ConjugacyClassTable:
     def sizes(self) -> list[int]:
         return [c.size for c in self.classes]
 
-    @property
-    def reps(self) -> list[Perm]:
-        return [c.rep for c in self.classes]
-
 
 def conjugacy_classes(
     group: PermutationGroup,
@@ -88,81 +83,46 @@ def conjugacy_classes(
 ) -> ConjugacyClassTable:
     """Conjugacy class table.
 
-    "enumeration" partitions the listed elements by conjugation orbits
-    and needs order <= cap.  "random" samples uniform elements, closes
-    each discovered class exactly by orbit search, and stops when the
-    class equation accounts for the whole order; it never lists the
-    group but must still hold every class element at once.
+    Candidate elements are taken one at a time; each one not yet seen
+    has its class closed exactly by orbit search, until the class
+    equation accounts for the whole order.  The strategies differ only
+    in the candidates: "enumeration" lists the group (order <= cap) and
+    walks it in lex order; "random" tries the identity, the generators,
+    then seeded uniform elements, so it never lists the group but must
+    still hold every class element at once.
     """
     if strategy == "auto":
         strategy = "enumeration" if group.order <= cap else "random"
     if strategy == "enumeration":
-        return _classes_by_enumeration(group, cap)
-    if strategy == "random":
-        return _classes_by_random_search(group, cap, seed)
-    raise GroupError(f"unknown strategy {strategy!r}")
-
-
-def _classes_by_enumeration(group: PermutationGroup, cap: int) -> ConjugacyClassTable:
-    rows = group.element_rows(cap=cap)
-    index = {row.tobytes(): i for i, row in enumerate(rows)}
-    order_keys = sorted(index)  # lex order makes reps canonical
-    assigned = np.zeros(len(rows), dtype=bool)
-    pairs = [(g, g.inverse()) for g in group.generators]
+        rows = group.element_rows(cap=cap)
+        candidates = iter(rows[np.lexsort(rows.T[::-1])])
+    elif strategy == "random":
+        candidates = _random_candidates(group, seed)
+    else:
+        raise GroupError(f"unknown strategy {strategy!r}")
+    seen: set[bytes] = set()
     classes = []
-    for key in order_keys:
-        start = index[key]
-        if assigned[start]:
-            continue
-        members = [start]
-        assigned[start] = True
-        frontier = np.array([start])
-        while frontier.size:
-            new = []
-            for g, g_inv in pairs:
-                conj = conjugate_rows(rows[frontier], g, g_inv)
-                for row in conj:
-                    j = index[row.tobytes()]
-                    if not assigned[j]:
-                        assigned[j] = True
-                        new.append(j)
-            frontier = np.array(new, dtype=np.intp)
-            members.extend(new)
-        classes.append(ConjugacyClass(Perm(rows[start], validate=False), len(members)))
-    return ConjugacyClassTable(group, classes)
-
-
-def _classes_by_random_search(group: PermutationGroup, cap: int, seed: int) -> ConjugacyClassTable:
-    rng = np.random.default_rng(seed)
-    found: list[tuple[bytes, int]] = []
-    keys_seen: set[bytes] = set()
     covered = 0
-    stored = 0
-    order = group.order
-
-    def absorb(el: Perm):
-        nonlocal covered, stored
-        if el.key in keys_seen:
-            return
-        rows = class_orbit_rows(group, el)
-        stored += len(rows)
-        if stored > cap:
+    while covered < group.order:
+        el = next(candidates)
+        if el.tobytes() in seen:
+            continue
+        rows = class_orbit_rows(group, Perm(el, validate=False))
+        seen.update(r.tobytes() for r in rows)
+        if len(seen) > cap:
             raise ResourceCapExceeded(f"stored class elements exceed cap {cap}")
-        for r in rows:
-            keys_seen.add(r.tobytes())
-        found.append((rows[0].tobytes(), len(rows)))
+        classes.append(ConjugacyClass(Perm(rows[0].copy(), validate=False), len(rows)))
         covered += len(rows)
-
-    absorb(Perm.identity(group.degree))
-    for g in group.generators:
-        absorb(g)
-    while covered < order:
-        absorb(group.random_element(rng))
-    classes = [
-        ConjugacyClass(Perm(np.frombuffer(k, dtype=np.uint8).copy(), validate=False), n)
-        for k, n in found
-    ]
     return ConjugacyClassTable(group, classes)
+
+
+def _random_candidates(group: PermutationGroup, seed: int):
+    rng = np.random.default_rng(seed)
+    yield Perm.identity(group.degree).images
+    for g in group.generators:
+        yield g.images
+    while True:
+        yield group.random_element(rng).images
 
 
 # ---------------------------------------------------------------------------
@@ -243,35 +203,15 @@ def _nested(a: PermutationGroup, b: PermutationGroup) -> bool:
 # ---------------------------------------------------------------------------
 # Sylow subgroups
 
-def _p_power_rows_mask(rows: np.ndarray, p: int) -> np.ndarray:
-    """Mask of rows whose order is a power of p (identity included)."""
-    n = rows.shape[1]
-    e = 1
-    while p**e <= n:
-        e += 1
-    # g is a p-element iff g^(p^e) is the identity
-    acc = rows
-    for _ in range(e):
-        out = acc
-        for _ in range(p - 1):
-            out = np.take_along_axis(acc, out.astype(np.intp), axis=1)
-        acc = out
-    return (acc == np.arange(n, dtype=rows.dtype)[None, :]).all(axis=1)
-
-
 def p_element_rows(group: PermutationGroup, p: int, cap: int = 10**7) -> np.ndarray:
     """All nonidentity elements of p-power order, in enumeration order."""
     if group.order > cap:
         raise ResourceCapExceeded(f"order {group.order} over enumeration cap {cap}")
-    keep = []
-    ident = np.arange(group.degree, dtype=np.uint8)
+    keep = [np.empty((0, group.degree), dtype=np.uint8)]
     for block in group.element_blocks():
-        mask = _p_power_rows_mask(block, p)
-        mask &= (block != ident[None, :]).any(axis=1)
-        if mask.any():
-            keep.append(block[mask])
-    if not keep:
-        return np.empty((0, group.degree), dtype=np.uint8)
+        orders = row_orders(block)
+        p_powers = [o for o in np.unique(orders).tolist() if len(factorize(o)) == 1 and o % p == 0]
+        keep.append(block[np.isin(orders, p_powers)])
     return np.concatenate(keep, axis=0)
 
 
@@ -290,8 +230,7 @@ def sylow_subgroup(group: PermutationGroup, p: int, cap: int = 10**7) -> Permuta
         return _wrap(group.degree, b, name=f"Sylow_{p}")
     pool = p_element_rows(group, p, cap=cap)
     # big orders first so the chain grows in few steps; stable within ties
-    ords = np.array([Perm(r, validate=False).order for r in pool])
-    pool = pool[np.argsort(-ords, kind="stable")]
+    pool = pool[np.argsort(-row_orders(pool), kind="stable")]
     while b.order < target:
         inside = {row.tobytes() for block in _wrap(group.degree, b).element_blocks() for row in block}
         progressed = False

@@ -18,6 +18,7 @@ import numpy as np
 from ._kernels import row_orders
 from .group import GroupError, PermutationGroup, ResourceCapExceeded, factorize
 from .perm import Perm, invert_rows, row_keys
+from .structure import class_orbit_rows
 
 ORDER_CAP = 6000
 
@@ -77,26 +78,15 @@ class ElementTable:
         inv = np.searchsorted(keys, row_keys(invert_rows(rows))).astype(np.int64)
         orders = row_orders(rows)
 
+        # class ids in order of first appearance along the sorted rows
         class_id = np.full(m, -1, dtype=np.int64)
-        table = cls(group, rows, keys, mult, inv, orders, class_id)
-        gens = [table.index(g) for g in group.generators]
         nxt = 0
         for x in range(m):
-            if class_id[x] >= 0:
-                continue
-            class_id[x] = nxt
-            frontier = [x]
-            while frontier:
-                fresh = []
-                for e in frontier:
-                    for y in gens:
-                        c = int(mult[mult[inv[y], e], y])
-                        if class_id[c] < 0:
-                            class_id[c] = nxt
-                            fresh.append(c)
-                frontier = fresh
-            nxt += 1
-        return table
+            if class_id[x] < 0:
+                members = class_orbit_rows(group, Perm(rows[x], validate=False))
+                class_id[np.searchsorted(keys, row_keys(members))] = nxt
+                nxt += 1
+        return cls(group, rows, keys, mult, inv, orders, class_id)
 
     @property
     def size(self) -> int:

@@ -24,8 +24,7 @@ import hashlib
 import json
 import subprocess
 import time
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import gcd
 from pathlib import Path
 

@@ -8,7 +8,6 @@ with no conjugacy shortcuts.
 import json
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from derange.derangements import (
-    CertificateError,
     Inconclusive,
     PndrValue,
     TwoOrbitAction,

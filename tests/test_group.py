@@ -129,23 +129,6 @@ def test_orbits_and_transitivity():
         assert stock(name).is_transitive()
 
 
-def test_point_stabilizer_orders():
-    # transitive: |G| = |orbit| * |stab|
-    for name in ("C4", "D4", "A4", "S4", "F20", "A5", "S5", "PSL(2,7)"):
-        g = stock(name)
-        st = g.point_stabilizer(0)
-        assert all(s(0) == 0 for s in st.generators)
-        assert st.order * len(g.orbit(0)) == g.order
-        assert st.is_subgroup_of(g)
-
-
-def test_point_stabilizer_elements_are_exactly_the_fixers():
-    g = stock("A5")
-    st = g.point_stabilizer(2)
-    fixers = {e.key for e in g.elements() if e(2) == 2}
-    assert {e.key for e in st.elements()} == fixers
-
-
 def test_induced_action_faithful_on_invariant_set():
     g = PermutationGroup.from_cycles(7, [[(0, 1, 2)], [(3, 4)], [(5, 6)]])
     img, relabel = g.induced_action([3, 4, 5, 6])

@@ -31,6 +31,22 @@ def test_identity_and_validation():
         Perm(list(range(MAX_DEGREE + 1)))
 
 
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        ([-1, 0], "bijection"),  # out of range below: would wrap in uint8
+        ([0, 256], "bijection"),  # out of range above: would wrap in uint8
+        ([1.5, 0], "integers"),  # non-integer: would truncate to (0 1)
+        ([[0, 1]], "shape"),
+        ([], "shape"),
+        ([1, 1, 0], "bijection"),
+    ],
+)
+def test_images_rejected_before_uint8_cast(images, message):
+    with pytest.raises(PermError, match=message):
+        Perm(images)
+
+
 def test_compose_is_left_to_right():
     f = Perm([1, 2, 0])
     g = Perm([1, 0, 2])

@@ -155,6 +155,42 @@ class TestVerifyDegree:
         assert bad.exit_code == 1
 
 
+class TestCounterexampleBranch:
+    """A descriptor whose coset search finds no derangement must survive
+    a direct scan of the materialized group before it is reported."""
+
+    @pytest.fixture
+    def no_coset_witness(self, monkeypatch):
+        monkeypatch.setattr("derange.pipeline.subdirect_derangement", lambda desc: None)
+
+    def test_direct_scan_disagreement_raises(self, no_coset_witness):
+        with pytest.raises(GroupError, match="coset analysis and direct scan disagree"):
+            verify_degree(6, corpus=forced_corpus())
+
+    def test_scan_without_derangement_is_counterexample(self, no_coset_witness, monkeypatch):
+        # every element fixes point 0, so the direct scan finds no derangement
+        fixes_zero = PermutationGroup.from_cycles(12, [[tuple(range(1, 12))]])
+        monkeypatch.setattr("derange.pipeline.materialize_group", lambda desc: fixes_zero)
+        r = verify_degree(6, corpus=forced_corpus())
+        assert r.verdict == "counterexample"
+        assert r.exit_code == 1
+        assert r.witnesses == [] and r.caps_hit == []
+        assert len(r.counterexamples) == 6
+        assert all(rec["witness"] is None for rec in r.counterexamples)
+        raw = emit_report(r, format="json")
+        assert '"witness":null' in raw
+        assert json.loads(raw)["verdict"] == "counterexample"
+        assert "COUNTEREXAMPLE pair C6,C6 descriptor 0" in emit_report(r, format="human")
+
+    def test_scan_over_cap_is_partial(self, no_coset_witness):
+        r = verify_degree(6, corpus=forced_corpus(), caps=VerifyCaps(enum_cap=1))
+        assert r.counterexamples == [] and r.witnesses == []
+        assert len(r.caps_hit) == 6
+        assert all("over the scan cap" in rec["reason"] for rec in r.caps_hit)
+        assert r.verdict == "partial"
+        assert r.exit_code == 3
+
+
 class TestEmitReport:
     def test_json_is_canonical(self):
         r = verify_degree(4)

@@ -17,7 +17,6 @@ from derange.group import GroupError, PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm
 from derange.pipeline import verify_degree
 from derange.subdirect import (
-    QuotientModel,
     SubdirectDescriptor,
     goursat_enumerate,
     materialize,
