@@ -49,7 +49,7 @@ def _whole_domain(degree: int) -> tuple:
     return tuple(range(degree))
 
 
-def enumerate_transitive(n: int, class_cap: int = 10**6) -> GroupCorpus:
+def enumerate_transitive(n: int) -> GroupCorpus:
     """All transitive subgroups of Sym(n) up to conjugacy, for tiny n.
 
     Runs the breadth-first subgroup-lattice scan of the full symmetric
@@ -81,7 +81,7 @@ def enumerate_transitive(n: int, class_cap: int = 10**6) -> GroupCorpus:
                 group=group,
                 transitive=True,
                 primitive=not _is_imprimitive(group),
-                pndr=pndr(group, _whole_domain(n), class_cap=class_cap),
+                pndr=pndr(group, _whole_domain(n)),
             )
         )
     return GroupCorpus(n, entries, "builtin-enumeration")
@@ -162,7 +162,7 @@ def save_corpus(corpus: GroupCorpus, out_dir) -> list[Path]:
     return written
 
 
-def imprimitive_filter(corpus: GroupCorpus, class_cap: int = 10**6) -> GroupCorpus:
+def imprimitive_filter(corpus: GroupCorpus, enum_cap: int = 10**7) -> GroupCorpus:
     """Corpus restricted to entries with a nontrivial block system.
 
     Primitivity flags are filled in on the input entries as a side
@@ -176,6 +176,6 @@ def imprimitive_filter(corpus: GroupCorpus, class_cap: int = 10**6) -> GroupCorp
         if e.primitive:
             continue
         if e.pndr is None:
-            e.pndr = pndr(e.group, _whole_domain(corpus.degree), class_cap=class_cap)
+            e.pndr = pndr(e.group, _whole_domain(corpus.degree), enum_cap=enum_cap)
         kept.append(e)
     return GroupCorpus(corpus.degree, kept, corpus.source)

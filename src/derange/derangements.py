@@ -14,12 +14,7 @@ import numpy as np
 from ._kernels import fix_any_count
 from .group import GroupError, PermutationGroup, ResourceCapExceeded, factorize
 from .perm import Perm
-from .structure import (
-    ConjugacyClassTable,
-    conjugacy_classes,
-    is_prime,
-    sylow_subgroup,
-)
+from .structure import is_prime, sylow_subgroup
 
 
 class Inconclusive(RuntimeError):
@@ -44,53 +39,17 @@ def _omega_array(group: PermutationGroup, omega) -> np.ndarray:
     return pts
 
 
-def count_nonderangements(
-    group: PermutationGroup,
-    omega,
-    strategy: str = "auto",
-    table: ConjugacyClassTable | None = None,
-    class_cap: int = 10**6,
-    enum_cap: int = 10**7,
-) -> int:
-    """|{g : g fixes a point of omega}| exactly.
+def count_nonderangements(group: PermutationGroup, omega, enum_cap: int = 10**7) -> int:
+    """|{g : g fixes a point of omega}| exactly, by scanning every element.
 
-    The class strategy sums class sizes over classes whose representative
-    fixes a point: omega is required to be G-invariant, which makes
-    "fixes a point of omega" a class function.
+    omega need not be invariant.  The elements stream in row blocks, so
+    the scan holds one block at a time; a group of order over enum_cap
+    raises ResourceCapExceeded before any work.
     """
     pts = _omega_array(group, omega)
-    if strategy == "auto":
-        if _is_invariant(group, pts):
-            try:
-                return count_nonderangements(group, pts, "classes", table, class_cap, enum_cap)
-            except ResourceCapExceeded:
-                pass
-        return count_nonderangements(group, pts, "enumeration", table, class_cap, enum_cap)
-    if strategy == "classes":
-        _require_invariant(group, pts)
-        if table is None:
-            table = conjugacy_classes(group, cap=class_cap)
-        return sum(
-            c.size for c in table if bool((c.rep.images[pts] == pts).any())
-        )
-    if strategy == "enumeration":
-        if group.order > enum_cap:
-            raise ResourceCapExceeded(f"order {group.order} over enumeration cap {enum_cap}")
-        total = 0
-        for block in group.element_blocks():
-            total += fix_any_count(block, pts)
-        return total
-    raise GroupError(f"unknown strategy {strategy!r}")
-
-
-def _is_invariant(group: PermutationGroup, pts: np.ndarray) -> bool:
-    ok = set(pts.tolist())
-    return all(g(p) in ok for g in group.generators for p in pts.tolist())
-
-
-def _require_invariant(group: PermutationGroup, pts: np.ndarray) -> None:
-    if not _is_invariant(group, pts):
-        raise GroupError("point set is not group-invariant")
+    if group.order > enum_cap:
+        raise ResourceCapExceeded(f"order {group.order} over enumeration cap {enum_cap}")
+    return sum(fix_any_count(block, pts) for block in group.element_blocks())
 
 
 @dataclass(frozen=True)
@@ -110,16 +69,8 @@ class PndrValue:
         return Fraction(self.numerator, self.denominator)
 
 
-def pndr(
-    group: PermutationGroup,
-    omega,
-    strategy: str = "auto",
-    table: ConjugacyClassTable | None = None,
-    class_cap: int = 10**6,
-    enum_cap: int = 10**7,
-) -> PndrValue:
-    count = count_nonderangements(group, omega, strategy, table, class_cap, enum_cap)
-    return PndrValue(count, group.order)
+def pndr(group: PermutationGroup, omega, enum_cap: int = 10**7) -> PndrValue:
+    return PndrValue(count_nonderangements(group, omega, enum_cap), group.order)
 
 
 def pndr_pair_bound(a1: PndrValue, a2: PndrValue) -> Fraction:
@@ -133,15 +84,13 @@ def find_derangement_detailed(
     omega,
     seed: int = 0,
     budget: int = 10**4,
-    class_cap: int = 10**6,
     enum_cap: int = 10**7,
 ) -> tuple[Perm | None, str]:
     """(witness or None, method); None is an exhaustively verified absence.
 
-    Seeded random sampling first; on failure falls back to scanning class
-    representatives (each rep is itself a witness candidate because fixed
-    points are constant on classes), then to full enumeration.  Raises
-    Inconclusive when every exhaustive route is over its cap.
+    Seeded random sampling first (method "random"); on failure a scan of
+    every element (method "enumeration").  Raises Inconclusive when the
+    group is over the scan cap.
     """
     pts = _omega_array(group, omega)
     rng = np.random.default_rng(seed)
@@ -149,19 +98,9 @@ def find_derangement_detailed(
         g = group.random_element(rng)
         if not bool((g.images[pts] == pts).any()):
             return g, "random"
-    try:
-        _require_invariant(group, pts)
-        table = conjugacy_classes(group, cap=class_cap)
-    except (ResourceCapExceeded, GroupError):
-        table = None
-    if table is not None:
-        for c in table:
-            if not bool((c.rep.images[pts] == pts).any()):
-                return c.rep, "classes"
-        return None, "classes"
     if group.order > enum_cap:
         raise Inconclusive(
-            f"budget {budget} exhausted and order {group.order} over every cap"
+            f"budget {budget} exhausted and order {group.order} over enumeration cap {enum_cap}"
         )
     for block in group.element_blocks():
         hits = ~(block[:, pts] == pts[None, :]).any(axis=1)

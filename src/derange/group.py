@@ -351,34 +351,6 @@ class PermutationGroup:
             out.append(BlockSystem(self.degree, full, nblocks, m // nblocks))
         return out
 
-    def all_block_systems(self, orbit=None) -> list["BlockSystem"]:
-        """Every nontrivial block system on the orbit, minimal ones first.
-
-        Obtained by lifting systems of the quotient action on blocks.
-        """
-        orb = np.asarray(sorted(orbit)) if orbit is not None else self.orbit(0)
-        found = {}
-        for system in self.minimal_block_systems(orb):
-            found[system.block_of.tobytes()] = system
-            quotient_group, lift = self._block_quotient(system, orb)
-            for sub in quotient_group.all_block_systems():
-                lifted = np.full(self.degree, -1, dtype=np.int16)
-                for p in orb:
-                    lifted[p] = sub.block_of[system.block_of[p]]
-                nb = sub.num_blocks
-                bs = BlockSystem(self.degree, lifted, nb, len(orb) // nb)
-                found.setdefault(lifted.tobytes(), bs)
-        return sorted(found.values(), key=lambda s: (s.block_size, s.block_of.tobytes()))
-
-    def _block_quotient(self, system: "BlockSystem", orb) -> tuple["PermutationGroup", None]:
-        reps = {}
-        for p in orb:
-            reps.setdefault(int(system.block_of[p]), int(p))
-        gens = []
-        for g in self.generators:
-            gens.append(Perm([system.block_of[g(reps[b])] for b in range(system.num_blocks)]))
-        return PermutationGroup(system.num_blocks, gens), None
-
 
 @dataclass
 class BlockSystem:

@@ -136,11 +136,6 @@ class Perm:
         return out
 
     @property
-    def cycle_type(self) -> tuple[int, ...]:
-        """Sorted cycle lengths, fixed points included."""
-        return tuple(sorted(len(c) for c in self.cycles(singletons=True)))
-
-    @property
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles(singletons=True)))
 
@@ -171,10 +166,6 @@ class Perm:
 
 def rows_of(perms) -> np.ndarray:
     return np.array([p.images for p in perms], dtype=np.uint8)
-
-
-def perms_of(rows) -> list[Perm]:
-    return [Perm(r, validate=False) for r in rows]
 
 
 def _img(g) -> np.ndarray:

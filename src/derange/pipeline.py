@@ -32,6 +32,7 @@ CLASS_CAP = 10**6
 @dataclass(frozen=True)
 class VerifyCaps:
     max_order: int | None = None
+    # caps only the class tables behind normal_subgroups; counts are scans
     class_cap: int = CLASS_CAP
     enum_cap: int = ENUM_CAP
     quotient_cap: int = QUOTIENT_CAP
@@ -88,7 +89,7 @@ def verify_degree(
     t0 = time.perf_counter()
     caps = caps or VerifyCaps()
     if corpus is None:
-        corpus = enumerate_transitive(n, class_cap=caps.class_cap)
+        corpus = enumerate_transitive(n)
     if corpus.degree != n:
         raise GroupError(f"corpus degree {corpus.degree} does not match requested {n}")
 
@@ -105,7 +106,7 @@ def verify_degree(
         caps=caps,
     )
 
-    imp = imprimitive_filter(corpus, class_cap=caps.class_cap)
+    imp = imprimitive_filter(corpus, enum_cap=caps.enum_cap)
     entries = []
     for e in imp.entries:
         if caps.max_order is not None and e.group.order > caps.max_order:
@@ -179,9 +180,7 @@ def verify_degree(
                     )
                     continue
                 group = materialize_group(desc)
-                fixers = count_nonderangements(
-                    group, range(group.degree), strategy="enumeration", enum_cap=caps.enum_cap
-                )
+                fixers = count_nonderangements(group, range(group.degree), enum_cap=caps.enum_cap)
                 if fixers < group.order:
                     raise GroupError(
                         f"coset analysis and direct scan disagree on {pair_label} "

@@ -1,8 +1,10 @@
 """Conjugacy classes, normal subgroups and Sylow subgroups.
 
-Class tables drive most counting here: fixed-point behaviour on an
-invariant point set is constant on classes, so class reps plus sizes
-replace full enumeration wherever the group is too big to list.
+Class tables feed the normal-subgroup lattice: a normal subgroup is a
+union of classes, hence the join of the normal closures of the class
+representatives it contains.  They do not count anything: a class table
+lists the whole group first, so counting is a scan of the element
+blocks (``derangements.count_nonderangements``).
 """
 
 from dataclasses import dataclass
@@ -75,54 +77,28 @@ class ConjugacyClassTable:
         return [c.size for c in self.classes]
 
 
-def conjugacy_classes(
-    group: PermutationGroup,
-    strategy: str = "auto",
-    cap: int = 10**6,
-    seed: int = 0,
-) -> ConjugacyClassTable:
-    """Conjugacy class table.
+def conjugacy_classes(group: PermutationGroup, cap: int = 10**6) -> ConjugacyClassTable:
+    """Conjugacy class table of a group of order at most cap.
 
-    Candidate elements are taken one at a time; each one not yet seen
+    The group is listed (over cap it raises ResourceCapExceeded before
+    any orbit search) and walked in lex order; each element not yet seen
     has its class closed exactly by orbit search, until the class
-    equation accounts for the whole order.  The strategies differ only
-    in the candidates: "enumeration" lists the group (order <= cap) and
-    walks it in lex order; "random" tries the identity, the generators,
-    then seeded uniform elements, so it never lists the group but must
-    still hold every class element at once.
+    equation accounts for the whole order.
     """
-    if strategy == "auto":
-        strategy = "enumeration" if group.order <= cap else "random"
-    if strategy == "enumeration":
-        rows = group.element_rows(cap=cap)
-        candidates = iter(rows[np.lexsort(rows.T[::-1])])
-    elif strategy == "random":
-        candidates = _random_candidates(group, seed)
-    else:
-        raise GroupError(f"unknown strategy {strategy!r}")
+    rows = group.element_rows(cap=cap)
     seen: set[bytes] = set()
     classes = []
     covered = 0
-    while covered < group.order:
-        el = next(candidates)
+    for el in rows[np.lexsort(rows.T[::-1])]:
+        if covered == group.order:
+            break
         if el.tobytes() in seen:
             continue
-        rows = class_orbit_rows(group, Perm(el, validate=False))
-        seen.update(r.tobytes() for r in rows)
-        if len(seen) > cap:
-            raise ResourceCapExceeded(f"stored class elements exceed cap {cap}")
-        classes.append(ConjugacyClass(Perm(rows[0].copy(), validate=False), len(rows)))
-        covered += len(rows)
+        orbit = class_orbit_rows(group, Perm(el, validate=False))
+        seen.update(r.tobytes() for r in orbit)
+        classes.append(ConjugacyClass(Perm(orbit[0].copy(), validate=False), len(orbit)))
+        covered += len(orbit)
     return ConjugacyClassTable(group, classes)
-
-
-def _random_candidates(group: PermutationGroup, seed: int):
-    rng = np.random.default_rng(seed)
-    yield Perm.identity(group.degree).images
-    for g in group.generators:
-        yield g.images
-    while True:
-        yield group.random_element(rng).images
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +180,23 @@ def _nested(a: PermutationGroup, b: PermutationGroup) -> bool:
 # Sylow subgroups
 
 def p_element_rows(group: PermutationGroup, p: int, cap: int = 10**7) -> np.ndarray:
-    """All nonidentity elements of p-power order, in enumeration order."""
+    """All nonidentity elements of p-power order, largest order first.
+
+    Each element's order is computed once, block by block; the sort is
+    stable, so rows of one order keep their enumeration order.
+    """
     if group.order > cap:
         raise ResourceCapExceeded(f"order {group.order} over enumeration cap {cap}")
     keep = [np.empty((0, group.degree), dtype=np.uint8)]
+    keep_orders = [np.empty(0, dtype=np.int64)]
     for block in group.element_blocks():
         orders = row_orders(block)
         p_powers = [o for o in np.unique(orders).tolist() if len(factorize(o)) == 1 and o % p == 0]
-        keep.append(block[np.isin(orders, p_powers)])
-    return np.concatenate(keep, axis=0)
+        hit = np.isin(orders, p_powers)
+        keep.append(block[hit])
+        keep_orders.append(orders[hit])
+    rows = np.concatenate(keep, axis=0)
+    return rows[np.argsort(-np.concatenate(keep_orders), kind="stable")]
 
 
 def sylow_subgroup(group: PermutationGroup, p: int, cap: int = 10**7) -> PermutationGroup:
@@ -228,9 +212,8 @@ def sylow_subgroup(group: PermutationGroup, p: int, cap: int = 10**7) -> Permuta
     b = BSGS(group.degree)
     if target == 1:
         return _wrap(group.degree, b, name=f"Sylow_{p}")
+    # big orders first so the chain grows in few steps
     pool = p_element_rows(group, p, cap=cap)
-    # big orders first so the chain grows in few steps; stable within ties
-    pool = pool[np.argsort(-row_orders(pool), kind="stable")]
     while b.order < target:
         inside = {row.tobytes() for block in _wrap(group.degree, b).element_blocks() for row in block}
         progressed = False

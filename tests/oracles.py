@@ -2,9 +2,10 @@
 
 Everything here trades speed for obvious correctness: no conjugacy
 shortcuts, no lattice pruning, just exhaustive closure growth.  Also the
+class-sum count of non-derangements that the scan must match, the
 reference versions of the normal-subgroup lattice and the quotient
-isomorphism search that the library's faster ones must match output for
-output, and the one recipe for launching the ``derange`` CLI in a
+isomorphism search that the library's faster ones must match output
+for output, and the one recipe for launching the ``derange`` CLI in a
 separate process.
 """
 
@@ -17,6 +18,21 @@ import numpy as np
 from derange.group import PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm
 from derange.structure import conjugacy_classes, normal_closure
+
+
+def class_sum_nonderangements(group, omega, class_cap: int = 10**6) -> int:
+    """Non-derangements counted by classes: the summed sizes of the
+    conjugacy classes whose representative fixes a point of omega.
+
+    Sound only for a G-invariant omega, where "fixes a point of omega"
+    is constant on classes; any other omega raises ValueError.
+    """
+    pts = np.asarray(sorted(int(x) for x in omega))
+    inside = set(pts.tolist())
+    if any(g(x) not in inside for g in group.generators for x in inside):
+        raise ValueError("point set is not group-invariant")
+    table = conjugacy_classes(group, cap=class_cap)
+    return sum(c.size for c in table if bool((c.rep.images[pts] == pts).any()))
 
 
 def closure_rows(degree: int, gen_rows: np.ndarray, cap: int | None = None) -> np.ndarray:

@@ -141,7 +141,7 @@ class TestSingleGroupCommands:
         images = doc["derangement"]
         assert sorted(images) == [0, 1, 2]
         assert all(images[i] != i for i in range(3))
-        assert doc["method"] in {"random", "classes", "enumeration"}
+        assert doc["method"] in {"random", "enumeration"}
 
     def test_derangement_verified_absent(self, runner, tmp_path):
         # S3 embedded in degree 4 fixes the last point, so nothing deranges
@@ -150,7 +150,7 @@ class TestSingleGroupCommands:
         assert result.exit_code == 1
         doc = json.loads(result.output)
         assert doc["derangement"] is None
-        assert doc["method"] in {"classes", "enumeration"}
+        assert doc["method"] == "enumeration"
 
     def test_invalid_json_is_input_error(self, runner, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from derange.derangements import (
 from derange.group import GroupError, PermutationGroup, factorize
 from derange.perm import Perm
 from derange.structure import sylow_subgroup
+from oracles import class_sum_nonderangements
 
 
 def cyc(degree, *cycles):
@@ -67,18 +70,14 @@ class TestCounting:
     def test_count_matches_bruteforce(self, group):
         pts = range(group.degree)
         want = brute_nonderangements(group, pts)
-        assert count_nonderangements(group, pts, strategy="classes") == want
-        assert count_nonderangements(group, pts, strategy="enumeration") == want
         assert count_nonderangements(group, pts) == want
 
     def test_suborbit_counts(self):
-        # C6 is transitive; restrict to a non-invariant subset: only the
-        # enumeration semantics applies, auto must route there
+        # C6 is transitive, so [0, 2] is not an invariant set; the scan
+        # counts it all the same
         pts = [0, 2]
         want = brute_nonderangements(C6, pts)
         assert count_nonderangements(C6, pts) == want
-        with pytest.raises(GroupError):
-            count_nonderangements(C6, pts, strategy="classes")
 
     def test_invariant_subset_class_counting(self):
         # intransitive group: two C3 orbits, count on one of them
@@ -86,7 +85,16 @@ class TestCounting:
         G = PermutationGroup(6, [g])
         want = brute_nonderangements(G, [0, 1, 2])
         assert want == 1  # only the identity fixes anything in a 3-cycle orbit
-        assert count_nonderangements(G, [0, 1, 2], strategy="classes") == want
+        assert count_nonderangements(G, [0, 1, 2]) == want
+        assert class_sum_nonderangements(G, [0, 1, 2]) == want
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_symmetric_group_pndr(self, n):
+        # !n = sum_k (-1)^k n!/k! derangements of n points; n = 9 scans
+        # all 362,880 elements
+        subfactorial = sum((-1) ** k * (factorial(n) // factorial(k)) for k in range(n + 1))
+        value = pndr(PermutationGroup.symmetric(n), range(n))
+        assert (value.numerator, value.denominator) == (factorial(n) - subfactorial, factorial(n))
 
     def test_class_function_soundness(self):
         # "fixes a point of an invariant set" is constant on conjugacy
@@ -105,8 +113,6 @@ class TestCounting:
             count_nonderangements(S4, [])
         with pytest.raises(GroupError):
             count_nonderangements(S4, [0, 7])
-        with pytest.raises(GroupError):
-            count_nonderangements(S4, range(4), strategy="sorcery")
 
     def test_pndr_value(self):
         v = PndrValue(15, 24)
@@ -137,11 +143,8 @@ class TestFindDerangement:
     def test_exhaustive_methods(self):
         # zero budget skips sampling entirely
         w, method = find_derangement_detailed(S4, range(4), budget=0)
-        assert method == "classes"
+        assert method == "enumeration"
         assert is_derangement(w, range(4))
-        w2, method2 = find_derangement_detailed(S4, range(4), budget=0, class_cap=1)
-        assert method2 == "enumeration"
-        assert is_derangement(w2, range(4))
 
     def test_witness_is_deterministic_per_seed(self):
         a = find_derangement(A5, range(5), seed=11)
@@ -157,11 +160,11 @@ class TestFindDerangement:
             assert not is_derangement(g, range(12))
         w, method = find_derangement_detailed(P, range(12), seed=0, budget=50)
         assert w is None
-        assert method == "classes"
+        assert method == "enumeration"
 
     def test_inconclusive_when_capped(self):
         with pytest.raises(Inconclusive):
-            find_derangement_detailed(A5, range(5), budget=0, class_cap=1, enum_cap=1)
+            find_derangement_detailed(A5, range(5), budget=0, enum_cap=1)
 
     def test_two_stabilizer_cover_impossible(self):
         # a group is never the union of two proper subgroups, so any

@@ -220,24 +220,27 @@ def test_block_systems_are_invariant_partitions():
         8, [[(0, 1, 2, 3, 4, 5, 6, 7)], [(0, 7), (1, 6), (2, 5), (3, 4)]]
     )
     assert w.order == 16
-    systems = w.all_block_systems()
-    assert sorted(s.block_size for s in systems) == [2, 4]
+    # the dihedral group keeps {i, i+4} and {i, i+2, i+4, i+6} together;
+    # only the pairs are minimal
+    systems = w.minimal_block_systems()
+    assert [sorted(b) for s in systems for b in s.blocks()] == [[0, 4], [1, 5], [2, 6], [3, 7]]
     for s in systems:
         assert s.check_invariant(w)
         assert not s.check_invariant(PermutationGroup.symmetric(8))
 
 
-def test_all_block_systems_by_brute_force():
-    # oracle: test every partition of 0..n-1 into equal blocks directly
+def test_minimal_block_systems_by_brute_force():
+    # oracle: test every partition of 0..n-1 into equal blocks directly,
+    # then keep those no other nontrivial invariant partition refines
     from itertools import combinations
 
-    def brute_systems(g):
+    def invariant_partitions(g):
         n = g.degree
         found = []
         for size in range(2, n):
             if n % size:
                 continue
-            # canonical: build partitions greedily, check invariance
+
             def partitions(rest):
                 if not rest:
                     yield []
@@ -250,27 +253,27 @@ def test_all_block_systems_by_brute_force():
                         yield [block] + tail
 
             for part in partitions(list(range(n))):
-                ok = True
-                blocks = [frozenset(b) for b in part]
-                as_set = set(blocks)
-                for gen in g.generators:
-                    for b in blocks:
-                        if frozenset(gen(x) for x in b) not in as_set:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    found.append(frozenset(blocks))
-        return set(found)
+                blocks = frozenset(frozenset(b) for b in part)
+                if all(frozenset(gen(x) for x in b) in blocks for gen in g.generators for b in blocks):
+                    found.append(blocks)
+        return found
+
+    def refines(finer, coarser):
+        return all(any(f <= c for c in coarser) for f in finer)
+
+    def minimal(partitions):
+        return {
+            p for p in partitions
+            if not any(q != p and refines(q, p) for q in partitions)
+        }
 
     for name in ("C4", "V4", "D4", "A4", "S4", "F20", "C5"):
         g = stock(name)
         got = {
             frozenset(frozenset(b) for b in s.blocks())
-            for s in g.all_block_systems()
+            for s in g.minimal_block_systems()
         }
-        assert got == brute_systems(g), name
+        assert got == minimal(invariant_partitions(g)), name
 
 
 def test_block_system_validation():

@@ -7,7 +7,6 @@ from derange.perm import (
     MAX_DEGREE,
     conjugate_rows,
     invert_rows,
-    perms_of,
     row_keys,
     rows_of,
     rows_then,
@@ -85,7 +84,7 @@ def test_from_cycles_and_cycles_roundtrip():
     assert g.to_list() == [1, 2, 0, 3, 5, 4]
     assert g.cycles() == [(0, 1, 2), (4, 5)]
     assert g.cycles(singletons=True) == [(0, 1, 2), (3,), (4, 5)]
-    assert g.cycle_type == (1, 2, 3)
+    assert sorted(len(c) for c in g.cycles(singletons=True)) == [1, 2, 3]
     with pytest.raises(PermError):
         Perm.from_cycles(4, (0, 1, 1))
     with pytest.raises(PermError):
@@ -112,7 +111,10 @@ def test_conjugate():
         g = Perm(rng.permutation(n))
         c = a.conjugate(g)
         assert c.key == (g.inverse() * a * g).key
-        assert c.cycle_type == a.cycle_type
+        def lengths(p):
+            return sorted(len(cyc) for cyc in p.cycles(singletons=True))
+
+        assert lengths(c) == lengths(a)
 
 
 def test_fixed_and_moved_points():
@@ -138,7 +140,7 @@ def test_row_helpers_match_perm_ops():
     perms = [Perm(rng.permutation(n)) for _ in range(40)]
     rows = rows_of(perms)
     assert rows.dtype == np.uint8 and rows.shape == (40, n)
-    assert perms_of(rows) == perms
+    assert [Perm(r, validate=False) for r in rows] == perms
 
     g = Perm(rng.permutation(n))
     after = rows_then(rows, g)

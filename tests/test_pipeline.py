@@ -121,6 +121,13 @@ class TestVerifyDegree:
         assert r.verdict == "partial"
         assert r.exit_code == 3
 
+    def test_class_cap_makes_partial(self):
+        # the class table behind normal_subgroups lists the group first,
+        # so an over-cap group reads as an enumeration cap
+        r = verify_degree(6, corpus=forced_corpus(), caps=VerifyCaps(class_cap=5))
+        assert r.caps_hit == [{"item": "C6|C6", "reason": "group order 6 exceeds enumeration cap 5"}]
+        assert r.verdict == "partial"
+
     def test_iso_cap_makes_partial(self):
         r = verify_degree(6, corpus=forced_corpus(), caps=VerifyCaps(iso_cap=1))
         assert len(r.caps_hit) == 1

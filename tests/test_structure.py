@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from derange import Perm, PermutationGroup
+from derange import Perm, PermutationGroup, ResourceCapExceeded
 from derange.corpus import enumerate_transitive, load_corpus
 from derange.structure import (
     ConjugacyClassTable,
@@ -95,19 +95,13 @@ def test_class_reps_are_lex_least():
         assert lex[0] == cls.rep.key
 
 
-def test_random_strategy_agrees_with_enumeration():
-    for name in ("D4", "S4", "F20", "A5", "PSL(2,7)"):
-        g = stock(name)
-        a = conjugacy_classes(g, strategy="enumeration")
-        b = conjugacy_classes(g, strategy="random", seed=5)
-        assert table_as_pairs(a) == table_as_pairs(b), name
+def test_over_cap_raises_before_any_orbit_search(monkeypatch):
+    def no_orbit_search(group, rep):
+        raise RuntimeError("class orbit search ran on an over-cap group")
 
-
-def test_random_strategy_deterministic():
-    g = stock("S5")
-    a = conjugacy_classes(g, strategy="random", seed=9)
-    b = conjugacy_classes(g, strategy="random", seed=9)
-    assert [c.rep for c in a] == [c.rep for c in b]
+    monkeypatch.setattr("derange.structure.class_orbit_rows", no_orbit_search)
+    with pytest.raises(ResourceCapExceeded, match="order 40320 exceeds enumeration cap 100"):
+        conjugacy_classes(PermutationGroup.symmetric(8), cap=100)
 
 
 def test_centralizer_order_matches_brute_force():
@@ -225,8 +219,9 @@ def test_p_element_rows():
     # 2-elements of S4: six transpositions, three double transpositions,
     # six 4-cycles
     assert rows.shape[0] == 15
-    orders = {Perm(r, validate=False).order for r in rows}
-    assert orders == {2, 4}
+    # largest order first, enumeration order within one order
+    want = [r.tobytes() for o in (4, 2) for r in g.element_rows() if Perm(r).order == o]
+    assert [r.tobytes() for r in rows] == want
     rows3 = p_element_rows(g, 3)
     assert rows3.shape[0] == 8
 
