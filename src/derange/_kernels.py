@@ -9,6 +9,8 @@ is the one base-q decoder, shared with ``gf.FieldSpec.vector_space``.
 
 import numpy as np
 
+from .perm import fixes_any
+
 _CHUNK = 1 << 14
 
 
@@ -26,16 +28,12 @@ def decode_vectors(start: int, stop: int, q: int, d: int) -> np.ndarray:
 def good_count_scan(field, d: int, normal) -> int:
     """Vectors v with a.v = 0 and every coordinate nonzero, counted by an
     exhaustive scan over all q^d vectors; the dumb oracle."""
-    normal = np.asarray(normal, dtype=np.int64)
-    add, mul, q = field.add, field.mul, field.q
+    q = field.q
     total = q**d
     count = 0
     for start in range(0, total, _CHUNK):
         vecs = decode_vectors(start, min(start + _CHUNK, total), q, d)
-        prods = mul[normal[None, :], vecs]
-        acc = prods[:, 0]
-        for i in range(1, d):
-            acc = add[acc, prods[:, i]]
+        acc = field.dot(normal, vecs)
         count += int(((acc == 0) & (vecs != 0).all(axis=1)).sum())
     return count
 
@@ -45,25 +43,18 @@ def cover_all_scan(field, d: int, normals) -> bool:
     normals = np.asarray(normals, dtype=np.int64)
     if normals.ndim != 2 or normals.shape[0] == 0:
         return field.q**d <= 1
-    add, mul, q = field.add, field.mul, field.q
+    q = field.q
     total = q**d
     for start in range(0, total, _CHUNK):
         vecs = decode_vectors(start, min(start + _CHUNK, total), q, d)
-        prods = mul[normals[None, :, :], vecs[:, None, :]]
-        acc = prods[:, :, 0]
-        for i in range(1, d):
-            acc = add[acc, prods[:, :, i]]
-        if not (acc == 0).any(axis=1).all():
+        if not (field.dot(normals[None, :, :], vecs[:, None, :]) == 0).any(axis=1).all():
             return False
     return True
 
 
 def fix_any_count(rows: np.ndarray, points) -> int:
     """How many rows fix at least one of the given points."""
-    points = np.asarray(points, dtype=np.int64)
-    if rows.shape[0] == 0 or points.size == 0:
-        return 0
-    return int((rows[:, points] == points[None, :]).any(axis=1).sum())
+    return int(fixes_any(rows, points).sum())
 
 
 def row_orders(rows: np.ndarray) -> np.ndarray:

@@ -198,16 +198,12 @@ def tight_cmd(q, d):
 @click.command()
 @click.option("--g1", "g1_file", type=click.Path(), required=True)
 @click.option("--g2", "g2_file", type=click.Path(), required=True)
-@click.option("--list", "list_only", is_flag=True,
-              help="descriptors only, no derangement checks (default)")
 @click.option("--check-derangements", "check", is_flag=True,
               help="decide derangement existence per subdirect product")
 @click.option("--no-dedup", is_flag=True,
               help="keep conjugate descriptors instead of one per class")
-def subdirect(g1_file, g2_file, list_only, check, no_dedup):
+def subdirect(g1_file, g2_file, check, no_dedup):
     """List the subdirect products of two groups as Goursat descriptors."""
-    if list_only and check:
-        _fail("--list and --check-derangements are mutually exclusive")
     group1, _ = _load_group(g1_file)
     group2, _ = _load_group(g2_file)
     descs = _run(goursat_enumerate, group1, group2, dedup=not no_dedup)

@@ -167,7 +167,8 @@ def imprimitive_filter(corpus: GroupCorpus, enum_cap: int = 10**7) -> GroupCorpu
 
     Primitivity flags are filled in on the input entries as a side
     effect; kept entries get their exact non-derangement proportion
-    computed if not already present.
+    computed if not already present, except that an entry of order over
+    enum_cap is kept with pndr None.
     """
     kept = []
     for e in corpus.entries:
@@ -175,7 +176,7 @@ def imprimitive_filter(corpus: GroupCorpus, enum_cap: int = 10**7) -> GroupCorpu
             e.primitive = not _is_imprimitive(e.group)
         if e.primitive:
             continue
-        if e.pndr is None:
+        if e.pndr is None and e.group.order <= enum_cap:
             e.pndr = pndr(e.group, _whole_domain(corpus.degree), enum_cap=enum_cap)
         kept.append(e)
     return GroupCorpus(corpus.degree, kept, corpus.source)

@@ -24,10 +24,7 @@ def good_count_formula(q: int, d: int, k: int) -> int:
     factor_prime_power(q)  # raises unless q is a prime power
     if not (1 <= k <= d):
         raise FieldError(f"need 1 <= k <= d, got k={k}, d={d}")
-    num = (q - 1) ** (d - k + 1) * ((q - 1) ** (k - 1) - (-1) ** (k - 1))
-    if num % q:
-        raise ArithmeticError("count formula produced a non-integer; bug")
-    return num // q
+    return (q - 1) ** (d - k) * d_sequences(q, k)[0]
 
 
 def d_sequences(q: int, j: int) -> tuple[int, int]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._kernels import fix_any_count
 from .group import GroupError, PermutationGroup, ResourceCapExceeded, factorize
-from .perm import Perm
+from .perm import Perm, fixes_any, lex_sorted
 from .structure import is_prime, sylow_subgroup
 
 
@@ -26,8 +26,7 @@ class CertificateError(RuntimeError):
 
 
 def is_derangement(g: Perm, omega) -> bool:
-    pts = np.asarray(sorted(omega))
-    return not bool((g.images[pts] == pts).any())
+    return not fixes_any(g.images[None, :], list(omega))[0]
 
 
 def _omega_array(group: PermutationGroup, omega) -> np.ndarray:
@@ -96,16 +95,16 @@ def find_derangement_detailed(
     rng = np.random.default_rng(seed)
     for _ in range(budget):
         g = group.random_element(rng)
-        if not bool((g.images[pts] == pts).any()):
+        if not fixes_any(g.images[None, :], pts)[0]:
             return g, "random"
     if group.order > enum_cap:
         raise Inconclusive(
             f"budget {budget} exhausted and order {group.order} over enumeration cap {enum_cap}"
         )
     for block in group.element_blocks():
-        hits = ~(block[:, pts] == pts[None, :]).any(axis=1)
-        if hits.any():
-            return Perm(block[np.nonzero(hits)[0][0]], validate=False), "enumeration"
+        hits = np.nonzero(~fixes_any(block, pts))[0]
+        if hits.size:
+            return Perm(block[hits[0]], validate=False), "enumeration"
     return None, "enumeration"
 
 
@@ -263,16 +262,9 @@ def _distinct_stabilizer_count(P: PermutationGroup, p: int) -> int:
 
 def _sylow_derangement(P: PermutationGroup, action: TwoOrbitAction) -> Perm | None:
     """Lexicographically least derangement of the whole domain inside P."""
-    pts = np.asarray(action.omega1 + action.omega2)
-    best = None
-    for block in P.element_blocks():
-        hits = ~(block[:, pts] == pts[None, :]).any(axis=1)
-        if hits.any():
-            rows = block[hits]
-            cand = min(rows, key=lambda r: r.tobytes())
-            if best is None or cand.tobytes() < best.tobytes():
-                best = cand.copy()
-    return Perm(best, validate=False) if best is not None else None
+    rows = P.element_rows()
+    rows = rows[~fixes_any(rows, action.omega)]
+    return Perm(lex_sorted(rows)[0], validate=False) if rows.size else None
 
 
 # ---------------------------------------------------------------------------

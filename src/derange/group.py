@@ -150,6 +150,8 @@ class PermutationGroup:
         self.name = name
         self._bsgs: BSGS | None = None
         self._orbits: list[np.ndarray] | None = None
+        # the quotient model by this group, kept by subdirect.quotient
+        self._quotient = None
 
     @staticmethod
     def from_cycles(degree: int, cycle_gens, name: str | None = None) -> "PermutationGroup":

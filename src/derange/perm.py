@@ -109,10 +109,6 @@ class Perm:
     def is_identity(self) -> bool:
         return bool((self.images == np.arange(self.images.size)).all())
 
-    def fixed_points(self, points=None) -> np.ndarray:
-        dom = np.arange(self.degree) if points is None else np.asarray(sorted(points))
-        return dom[self.images[dom] == dom]
-
     def moved_points(self) -> np.ndarray:
         dom = np.arange(self.degree)
         return dom[self.images != dom]
@@ -194,6 +190,17 @@ def conjugate_rows(rows: np.ndarray, g, g_inv=None) -> np.ndarray:
     else:
         g_inv = _img(g_inv)
     return g[rows[:, g_inv]]
+
+
+def fixes_any(rows: np.ndarray, points) -> np.ndarray:
+    """mask[i] = row i fixes at least one of the given points."""
+    pts = np.asarray(points, dtype=np.intp)
+    return (rows[:, pts] == pts.astype(rows.dtype)).any(axis=1)
+
+
+def lex_sorted(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array in lexicographic order (a stable sort)."""
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 ROW_KEY_MAX_DEGREE = 15

@@ -110,14 +110,13 @@ def verify_degree(
     entries = []
     for e in imp.entries:
         if caps.max_order is not None and e.group.order > caps.max_order:
-            report.caps_hit.append(
-                {
-                    "item": e.name,
-                    "reason": f"group order {e.group.order} over max-order {caps.max_order}",
-                }
-            )
+            reason = f"group order {e.group.order} over max-order {caps.max_order}"
+        elif e.pndr is None:
+            reason = f"group order {e.group.order} over enumeration cap {caps.enum_cap}"
+        else:
+            entries.append(e)
             continue
-        entries.append(e)
+        report.caps_hit.append({"item": e.name, "reason": reason})
     m = len(entries)
     report.imprimitive_count = m
     report.pairs_total = m * (m + 1) // 2

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._kernels import row_orders
 from .group import BSGS, GroupError, PermutationGroup, ResourceCapExceeded, factorize
-from .perm import Perm, conjugate_rows
+from .perm import Perm, conjugate_rows, lex_sorted
 
 
 def p_part(n: int, p: int) -> int:
@@ -47,8 +47,7 @@ def class_orbit_rows(group: PermutationGroup, rep: Perm) -> np.ndarray:
             break
         frontier = np.array(new, dtype=np.uint8)
         blocks.append(frontier)
-    out = np.concatenate(blocks, axis=0)
-    return out[np.lexsort(out.T[::-1])]
+    return lex_sorted(np.concatenate(blocks, axis=0))
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def conjugacy_classes(group: PermutationGroup, cap: int = 10**6) -> ConjugacyCla
     seen: set[bytes] = set()
     classes = []
     covered = 0
-    for el in rows[np.lexsort(rows.T[::-1])]:
+    for el in lex_sorted(rows):
         if covered == group.order:
             break
         if el.tobytes() in seen:

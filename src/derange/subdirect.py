@@ -17,16 +17,12 @@ import numpy as np
 from ._kernels import row_orders
 from .derangements import TwoOrbitAction
 from .group import GroupError, PermutationGroup, ResourceCapExceeded
-from .perm import MAX_DEGREE, Perm, rows_then
+from .perm import MAX_DEGREE, Perm, fixes_any, lex_sorted, rows_then
 from .structure import normal_subgroups
 from .subgroups import table_closure
 
 QUOTIENT_CAP = 2000
 ISO_CAP = 10**5
-
-
-def _lexmin_key(rows: np.ndarray) -> bytes:
-    return rows[np.lexsort(rows.T[::-1])][0].tobytes()
 
 
 @dataclass(eq=False)
@@ -59,7 +55,7 @@ class QuotientModel:
         """Point of the coset containing g, via the lex-least coset row."""
         if g.degree != self.parent.degree:
             raise GroupError("degree mismatch in coset lookup")
-        key = _lexmin_key(rows_then(self.kernel_rows, g))
+        key = lex_sorted(rows_then(self.kernel_rows, g))[0].tobytes()
         try:
             return self._enc[key]
         except KeyError:
@@ -132,54 +128,57 @@ class QuotientModel:
         self._trees = trees
         return trees
 
+    def coset_rows(self, p: int) -> np.ndarray:
+        """The parent-group elements of the coset at point p, as rows."""
+        return rows_then(self.kernel_rows, self.reps[p])
+
     def derangement_bitmap(self) -> np.ndarray:
         """bitmap[p] = coset p contains an element fixing no parent point."""
         if self._derangements is None:
-            n = self.parent.degree
-            idx = np.arange(n, dtype=np.uint8)
-            out = np.zeros(self.order, dtype=bool)
-            for p, r in enumerate(self.reps):
-                rows = rows_then(self.kernel_rows, r)
-                out[p] = bool((~(rows == idx[None, :]).any(axis=1)).any())
-            self._derangements = out
+            pts = np.arange(self.parent.degree)
+            self._derangements = np.array(
+                [not fixes_any(self.coset_rows(p), pts).all() for p in range(self.order)]
+            )
         return self._derangements
 
     def coset_derangement(self, p: int) -> Perm | None:
         """Lex-least derangement of the parent domain in coset p."""
-        n = self.parent.degree
-        idx = np.arange(n, dtype=np.uint8)
-        rows = rows_then(self.kernel_rows, self.reps[p])
-        hit = ~(rows == idx[None, :]).any(axis=1)
-        if not hit.any():
-            return None
-        cand = rows[hit]
-        return Perm(cand[np.lexsort(cand.T[::-1])][0], validate=False)
+        rows = self.coset_rows(p)
+        rows = rows[~fixes_any(rows, np.arange(self.parent.degree))]
+        return Perm(lex_sorted(rows)[0], validate=False) if rows.size else None
 
 
 def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) -> QuotientModel:
-    """Regular action of G on the cosets of a normal subgroup N."""
+    """Regular action of G on the cosets of a normal subgroup N.
+
+    Each model is built once per (G, N): it is kept on N and returned to
+    every later call with the same parent G, after the cap check.  Its
+    kernel is a copy of N with the same generators and stabilizer chain.
+    """
     if N.degree != G.degree:
         raise GroupError("kernel degree differs from parent degree")
+    m = G.order // N.order
+    if m > cap:
+        raise ResourceCapExceeded(f"quotient order {m} over cap {cap}")
+    if N._quotient is not None and N._quotient.parent is G:
+        return N._quotient
     if not N.is_subgroup_of(G):
         raise GroupError("kernel is not a subgroup of the parent")
     for n in N.generators:
         for g in G.generators:
             if n.conjugate(g) not in N:
                 raise GroupError("kernel is not normal in the parent")
-    m = G.order // N.order
-    if m > cap:
-        raise ResourceCapExceeded(f"quotient order {m} over cap {cap}")
 
     kernel_rows = N.element_rows()
     reps = [Perm.identity(G.degree)]
-    enc = {_lexmin_key(kernel_rows): 0}
+    enc = {lex_sorted(kernel_rows)[0].tobytes(): 0}
     disc: list[tuple[int, int]] = [(0, -1)]
     gen_rows = [np.empty(m, dtype=np.int64) for _ in G.generators]
     p = 0
     while p < len(reps):
         for si, s in enumerate(G.generators):
             c = reps[p] * s
-            key = _lexmin_key(rows_then(kernel_rows, c))
+            key = lex_sorted(rows_then(kernel_rows, c))[0].tobytes()
             q = enc.get(key)
             if q is None:
                 q = len(reps)
@@ -201,9 +200,15 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
         p, si = disc[q]
         rows[q] = gen_rows[si][rows[p]]
     table = rows.astype(np.int16 if m <= 32767 else np.int32)
-    model = QuotientModel(G, N, table, reps, kernel_rows, enc)
+    # the model holds a copy of N that shares its stabilizer chain, not N
+    # itself: N holds the model, and a reference cycle would keep both
+    # (and G) alive after their last use until the cyclic collector runs
+    kernel = PermutationGroup(N.degree, N.generators, name=N.name)
+    kernel._bsgs = N.bsgs
+    model = QuotientModel(G, kernel, table, reps, kernel_rows, enc)
     if model.order * N.order != G.order:
         raise GroupError("quotient order times kernel order is not the parent order")
+    N._quotient = model
     return model
 
 
@@ -320,7 +325,7 @@ def quotient_isomorphisms(
         imgs = iso[gens]
         # y^-1 * x * y for every y (rows), every generator image x (cols)
         conj = t2[ys[:, None], t2[imgs[None, :], inv2[ys][:, None]]]
-        key = conj[np.lexsort(conj.T[::-1])][0].tobytes()
+        key = lex_sorted(conj)[0].tobytes()
         if key not in seen:
             seen.add(key)
             keep.append(iso)
@@ -358,7 +363,8 @@ def goursat_enumerate(
     conjugacy in G1 x G2 when dedup is set).
 
     Precomputed normal subgroup lists can be passed to share lattice
-    work across many calls on the same groups.  The product acts on the
+    work across many calls on the same groups; the quotient models are
+    then shared too, since each is kept on its kernel.  The product acts on the
     disjoint union of both domains, so their degrees must sum to at most
     MAX_DEGREE.
     """
@@ -368,24 +374,15 @@ def goursat_enumerate(
         )
     n1s = normals1 if normals1 is not None else normal_subgroups(G1)
     n2s = normals2 if normals2 is not None else normal_subgroups(G2)
-    quotients1: dict[int, QuotientModel] = {}
-    quotients2: dict[int, QuotientModel] = {}
     out = []
-    for i, N1 in enumerate(n1s):
-        idx1 = G1.order // N1.order
-        for j, N2 in enumerate(n2s):
-            if idx1 != G2.order // N2.order:
+    for N1 in n1s:
+        for N2 in n2s:
+            if G1.order // N1.order != G2.order // N2.order:
                 continue
-            if idx1 > quotient_cap:
-                raise ResourceCapExceeded(
-                    f"common quotient order {idx1} over cap {quotient_cap}"
-                )
-            if i not in quotients1:
-                quotients1[i] = quotient(G1, N1, quotient_cap)
-            if j not in quotients2:
-                quotients2[j] = quotient(G2, N2, quotient_cap)
-            for iso in quotient_isomorphisms(quotients1[i], quotients2[j], dedup, iso_cap):
-                out.append(SubdirectDescriptor(quotients1[i], quotients2[j], iso))
+            q1 = quotient(G1, N1, quotient_cap)
+            q2 = quotient(G2, N2, quotient_cap)
+            for iso in quotient_isomorphisms(q1, q2, dedup, iso_cap):
+                out.append(SubdirectDescriptor(q1, q2, iso))
     return out
 
 

@@ -257,13 +257,6 @@ class TestSubdirect:
         assert covered[0]["quotient_order"] == "6"
         assert covered[0]["subgroup_order"] == "24"
 
-    def test_flags_mutually_exclusive(self, runner, c4_file):
-        result = runner.invoke(
-            subdirect,
-            ["--g1", c4_file, "--g2", c4_file, "--list", "--check-derangements"],
-        )
-        assert result.exit_code == 2
-
 
 class TestConsoleScripts:
     @pytest.mark.parametrize("name", ["derange", "lincover", "subdirect"])

@@ -6,7 +6,9 @@ from derange._kernels import fix_any_count
 from derange.perm import (
     MAX_DEGREE,
     conjugate_rows,
+    fixes_any,
     invert_rows,
+    lex_sorted,
     row_keys,
     rows_of,
     rows_then,
@@ -119,8 +121,10 @@ def test_conjugate():
 
 def test_fixed_and_moved_points():
     g = Perm.from_cycles(7, (1, 3), (4, 5, 6))
-    assert list(g.fixed_points()) == [0, 2]
-    assert list(g.fixed_points([0, 1, 4])) == [0]
+    row = g.images[None, :]
+    assert [x for x in range(7) if fixes_any(row, [x])[0]] == [0, 2]
+    assert fixes_any(row, [0, 1, 4]).tolist() == [True]
+    assert fixes_any(row, [1, 4]).tolist() == [False]
     assert list(g.moved_points()) == [1, 3, 4, 5, 6]
     assert not Perm.identity(4).moved_points().size
 
@@ -170,5 +174,6 @@ def test_row_keys_sort_like_rows_up_to_degree_15():
     rows = np.array(perms, dtype=np.uint8)
     by_key = rows[np.argsort(row_keys(rows))]
     assert [r.tobytes() for r in by_key] == sorted(r.tobytes() for r in rows)
+    assert [r.tobytes() for r in lex_sorted(rows)] == sorted(r.tobytes() for r in rows)
     with pytest.raises(GroupError, match="degree 15"):
         row_keys(np.zeros((1, 16), dtype=np.uint8))

@@ -1,13 +1,22 @@
 """Degree-level verification runs and their reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from derange.corpus import CorpusEntry, GroupCorpus, enumerate_transitive, imprimitive_filter
+from derange.corpus import (
+    CorpusEntry,
+    GroupCorpus,
+    enumerate_transitive,
+    imprimitive_filter,
+    load_corpus,
+)
 from derange.derangements import PndrValue
 from derange.group import GroupError, PermutationGroup
 from derange.pipeline import VerificationReport, VerifyCaps, emit_report, verify_degree
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
 
 def c6():
@@ -120,6 +129,21 @@ class TestVerifyDegree:
         assert r.caps_hit[0]["item"] == "C6|C6"
         assert r.verdict == "partial"
         assert r.exit_code == 3
+
+    def test_enum_cap_makes_partial(self):
+        # an imprimitive group over the scan cap has no exact proportion,
+        # so it is recorded and skipped like a max-order exclusion
+        corpus = load_corpus(FIXTURES / "degree09", 9)
+        r = verify_degree(9, corpus=corpus, caps=VerifyCaps(enum_cap=10))
+        assert r.verdict == "partial"
+        imprimitive = [e for e in corpus.entries if not e.primitive]
+        small = [e.name for e in imprimitive if e.group.order <= 10]
+        assert r.imprimitive_count == len(small) > 0
+        assert sorted(rec["item"] for rec in r.caps_hit) == sorted(
+            e.name for e in imprimitive if e.group.order > 10
+        )
+        for rec in r.caps_hit:
+            assert rec["reason"].endswith("over enumeration cap 10")
 
     def test_class_cap_makes_partial(self):
         # the class table behind normal_subgroups lists the group first,

@@ -16,6 +16,7 @@ from derange.corpus import load_corpus
 from derange.group import GroupError, PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm
 from derange.pipeline import verify_degree
+from derange.structure import normal_subgroups
 from derange.subdirect import (
     SubdirectDescriptor,
     goursat_enumerate,
@@ -125,6 +126,36 @@ class TestQuotient:
         with pytest.raises(ResourceCapExceeded):
             quotient(S4, trivial(4), cap=23)
         assert quotient(S4, trivial(4), cap=24).order == 24
+
+    def test_model_built_once_per_kernel_and_parent(self):
+        N = trivial(4)
+        q = quotient(S4, N)
+        assert quotient(S4, N) is q
+        other = quotient(A4, N)
+        assert other is not q and other.parent is A4
+
+    def test_cached_model_still_capped(self):
+        N = trivial(4)
+        assert quotient(S4, N).order == 24
+        with pytest.raises(ResourceCapExceeded, match="quotient order 24 over cap 23"):
+            quotient(S4, N, cap=23)
+        K = trivial(4)
+        goursat_enumerate(C4, C4, normals1=[K], normals2=[K])
+        with pytest.raises(ResourceCapExceeded):
+            goursat_enumerate(C4, C4, quotient_cap=3, normals1=[K], normals2=[K])
+
+    def test_verify_degree9_builds_one_model_per_group_and_kernel(self, monkeypatch):
+        built = []
+
+        class Counting(subdirect.QuotientModel):
+            def __init__(self, parent, kernel, *args, **kwargs):
+                built.append((parent, kernel))
+                super().__init__(parent, kernel, *args, **kwargs)
+
+        monkeypatch.setattr(subdirect, "QuotientModel", Counting)
+        assert verify_degree(9, corpus=load_corpus(FIXTURES / "degree09", 9)).verdict == "verified"
+        assert len(built) == 63
+        assert len({(id(G), tuple(g.key for g in N.generators)) for G, N in built}) == 63
 
     def test_generating_points_generate(self):
         for G, N in [(S4, V4), (S4, trivial(4)), (A4, V4), (C4, trivial(4))]:
@@ -365,6 +396,27 @@ class TestGoursat:
         descs = goursat_enumerate(trivial(125), trivial(125))
         assert [d.subgroup_order for d in descs] == [1]
         assert materialize_group(descs[0]).degree == 250
+
+    def test_shared_normal_list_matches_separate_lists(self):
+        # one list for both factors makes q1 and q2 the same model object
+        # wherever N1 is N2
+        def summary(descs):
+            return [
+                (d.q1.kernel.order, d.q2.kernel.order, d.point_map.tolist(),
+                 subdirect_derangement(d))
+                for d in descs
+            ]
+
+        D4 = PermutationGroup.from_cycles(4, [[(0, 1, 2, 3)], [(1, 3)]])
+        for G in (S4, D4, V4, C4):
+            ns = normal_subgroups(G)
+            shared = goursat_enumerate(G, G, normals1=ns, normals2=ns)
+            apart = goursat_enumerate(
+                G, G, normals1=normal_subgroups(G), normals2=normal_subgroups(G)
+            )
+            assert any(d.q1 is d.q2 for d in shared)
+            assert not any(d.q1 is d.q2 for d in apart)
+            assert summary(shared) == summary(apart)
 
     def test_deterministic(self):
         a = goursat_enumerate(S3, S3, dedup=False)
