@@ -4,20 +4,37 @@ Orders and memberships come from an explicitly built base and strong
 generating set (Schreier-Sims with full Schreier-generator checking, no
 randomization).  Base points are chosen in increasing point order, so
 every derived quantity (element enumeration order, transversal layout)
-is reproducible run to run.
+is reproducible run to run.  The chain is sifted and checked by a batched
+sift of uint8 rows, one array for all of a level's Schreier generators;
+it has the same base, strong generators and transversals as the loop
+that sifts one element at a time (``tests/oracles.py::ReferenceBSGS``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .perm import GroupError, Perm, rows_of
+from .perm import GroupError, Perm, invert_rows, rows_of
 
 
 class ResourceCapExceeded(RuntimeError):
     """A computation would exceed a configured cap; result withheld."""
+
+
+class _Level(NamedTuple):
+    """One level of the chain: the rows of the strong generators fixing
+    the base points before it, in order; the orbit of its base point,
+    sorted; the representative row of each orbit point and its inverse
+    row; and point -> row index, -1 off the orbit."""
+
+    gens: np.ndarray
+    points: np.ndarray
+    reps: np.ndarray
+    inv: np.ndarray
+    index: np.ndarray
 
 
 class BSGS:
@@ -32,23 +49,43 @@ class BSGS:
         self.degree = degree
         self.base: list[int] = []
         self.strong_gens: list[Perm] = []
-        self.transversals: list[dict[int, Perm]] = []
+        self._gen_rows = np.empty((0, degree), dtype=np.uint8)
+        self._levels: list[_Level] = []
         for g in generators:
             self.extend(g)
 
-    # g reduced through levels[start:]; returns (residue, stuck level)
-    def sift(self, g: Perm, start: int = 0) -> tuple[Perm, int]:
+    def sift_rows(self, rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Each (m, degree) row reduced through levels[start:]: the residue
+        rows and the level where each got stuck, len(base) if none."""
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.degree:
+            # checked before any indexing, which need not fail on a mismatch
+            raise GroupError(f"rows of shape {rows.shape} given to a chain of degree {self.degree}")
+        res = rows.astype(np.uint8)
+        stuck = np.full(len(res), len(self.base), dtype=np.intp)
+        live = np.arange(len(res))
         for i in range(start, len(self.base)):
-            p = g(self.base[i])
-            u = self.transversals[i].get(p)
-            if u is None:
-                return g, i
-            g = g * u.inverse()
-        return g, len(self.base)
+            level = self._levels[i]
+            idx = level.index[res[live, self.base[i]]]
+            out = idx < 0
+            stuck[live[out]] = i
+            live, idx = live[~out], idx[~out]
+            # row * u^-1: apply the row, then the inverse representative
+            res[live] = level.inv[idx[:, None], res[live]]
+        return res, stuck
+
+    def sift(self, g: Perm, start: int = 0) -> tuple[Perm, int]:
+        """g reduced through levels[start:]; returns (residue, stuck level)."""
+        res, stuck = self.sift_rows(g.images[None, :], start)
+        return Perm(res[0], validate=False), int(stuck[0])
+
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """mask[i] = row i is an element of the group."""
+        res, stuck = self.sift_rows(rows)
+        return (stuck == len(self.base)) & (res == np.arange(self.degree)).all(axis=1)
 
     def __contains__(self, g: Perm) -> bool:
-        residue, i = self.sift(g)
-        return i == len(self.base) and residue.is_identity()
+        return bool(self.contains_rows(g.images[None, :])[0])
 
     def extend(self, g: Perm) -> bool:
         """Adjoin one element; returns True if the group grew."""
@@ -62,45 +99,54 @@ class BSGS:
     def _insert(self, residue: Perm, j: int) -> None:
         if j == len(self.base):
             self.base.append(int(residue.moved_points()[0]))
-            self.transversals.append({})
+            self._levels.append(None)
         self.strong_gens.append(residue)
+        self._gen_rows = np.concatenate([self._gen_rows, residue.images[None, :]])
         for i in range(j + 1):
             self._rebuild(i)
 
-    def _level_gens(self, i: int) -> list[Perm]:
-        prefix = self.base[:i]
-        return [g for g in self.strong_gens if all(g(b) == b for b in prefix)]
-
     def _rebuild(self, i: int) -> None:
-        gens = self._level_gens(i)
-        base = self.base[i]
-        tr = {base: Perm.identity(self.degree)}
-        frontier = [base]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                u = tr[p]
-                for s in gens:
-                    q = s(p)
-                    if q not in tr:
-                        tr[q] = u * s
-                        nxt.append(q)
-            frontier = nxt
-        self.transversals[i] = tr
+        prefix = self.base[:i]
+        rows = self._gen_rows
+        gens = rows[(rows[:, prefix] == np.array(prefix, dtype=np.uint8)).all(axis=1)]
+        images = gens.tolist()
+        # breadth-first orbit of base[i]: point p, in discovery order, and
+        # generator s reach q = s(p) with u_q = u_p * s the first time
+        pts = [self.base[i]]
+        seen = set(pts)
+        reps = [np.arange(self.degree, dtype=np.uint8)]
+        for j, p in enumerate(pts):  # grows while it is walked
+            for s, img in zip(gens, images):
+                q = img[p]
+                if q not in seen:
+                    seen.add(q)
+                    pts.append(q)
+                    reps.append(s[reps[j]])
+        order = np.argsort(pts)
+        points = np.array(pts)[order]
+        reps = np.array(reps)[order]
+        reps.setflags(write=False)
+        index = np.full(self.degree, -1, dtype=np.intp)
+        index[points] = np.arange(len(points))
+        self._levels[i] = _Level(gens, points, reps, invert_rows(reps), index)
 
     def _verify_level(self, i: int):
-        tr = self.transversals[i]
-        gens = self._level_gens(i)
-        for p in sorted(tr):
-            u = tr[p]
-            for s in gens:
-                w = u * s * tr[s(p)].inverse()
-                if w.is_identity():
-                    continue
-                residue, j = self.sift(w, i + 1)
-                if not (j == len(self.base) and residue.is_identity()):
-                    return residue, j
-        return None
+        """The first Schreier generator u_p * s * u_(s(p))^-1 of level i,
+        p in orbit order, then s, that does not sift to the identity
+        through the levels below: (residue, stuck level), or None."""
+        level = self._levels[i]
+        gens = level.gens
+        # us[p, s, x] = s(u_p(x)); back[p, s] = the row of u_(s(p))
+        us = gens[np.arange(len(gens))[None, :, None], level.reps[:, None, :]]
+        back = level.index[gens[:, level.points].T]
+        ident = np.arange(self.degree, dtype=np.uint8)
+        w = level.inv[back[:, :, None], us].reshape(-1, self.degree)
+        w = w[(w != ident).any(axis=1)]
+        res, stuck = self.sift_rows(w, i + 1)
+        bad = np.flatnonzero((stuck < len(self.base)) | (res != ident).any(axis=1))
+        if not bad.size:
+            return None
+        return Perm(res[bad[0]], validate=False), int(stuck[bad[0]])
 
     def _complete(self, start: int) -> None:
         i = min(start, len(self.base) - 1)
@@ -116,16 +162,14 @@ class BSGS:
     @property
     def order(self) -> int:
         n = 1
-        for tr in self.transversals:
-            n *= len(tr)
+        for level in self._levels:
+            n *= len(level.points)
         return n
 
     def transversal_rows(self) -> list[np.ndarray]:
-        """Per level, coset representative rows sorted by orbit point."""
-        return [
-            rows_of([tr[p] for p in sorted(tr)])
-            for tr in self.transversals
-        ]
+        """Per level, coset representative rows sorted by orbit point
+        (read-only: they are the chain's own arrays)."""
+        return [level.reps for level in self._levels]
 
 
 class PermutationGroup:
@@ -190,7 +234,11 @@ class PermutationGroup:
         return g in self.bsgs
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
-        return all(g in other for g in self.generators)
+        if not self.generators:
+            return True
+        return self.degree == other.degree and bool(
+            other.bsgs.contains_rows(rows_of(self.generators, self.degree)).all()
+        )
 
     def same_group(self, other: "PermutationGroup") -> bool:
         return self.order == other.order and self.is_subgroup_of(other)

@@ -160,7 +160,10 @@ class Perm:
 # ---------------------------------------------------------------------------
 # batched helpers on (m, degree) uint8 row arrays
 
-def rows_of(perms) -> np.ndarray:
+def rows_of(perms, degree: int) -> np.ndarray:
+    """The images of the perms as one (m, degree) row array; m may be 0."""
+    if not perms:
+        return np.empty((0, degree), dtype=np.uint8)
     return np.array([p.images for p in perms], dtype=np.uint8)
 
 
@@ -176,8 +179,7 @@ def rows_then(rows: np.ndarray, g) -> np.ndarray:
 def invert_rows(rows: np.ndarray) -> np.ndarray:
     m, n = rows.shape
     inv = np.empty_like(rows)
-    ar = np.arange(n, dtype=np.uint8)
-    np.put_along_axis(inv, rows.astype(np.intp), ar[None, :], axis=1)
+    inv[np.arange(m)[:, None], rows] = np.arange(n, dtype=rows.dtype)
     return inv
 
 

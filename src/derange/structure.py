@@ -13,7 +13,7 @@ import numpy as np
 
 from ._kernels import row_orders
 from .group import BSGS, GroupError, PermutationGroup, ResourceCapExceeded, factorize
-from .perm import Perm, conjugate_rows, lex_sorted
+from .perm import Perm, conjugate_rows, lex_sorted, rows_of
 
 
 def p_part(n: int, p: int) -> int:
@@ -104,13 +104,27 @@ def conjugacy_classes(group: PermutationGroup, cap: int = 10**6) -> ConjugacyCla
 # normal subgroups
 
 def normal_closure(group: PermutationGroup, seeds) -> PermutationGroup:
-    """Smallest normal subgroup of group containing the seed elements."""
+    """Smallest normal subgroup of group containing the seed elements.
+
+    The queue is a stack of rows.  One batched membership test finds the
+    topmost row outside the closure so far; the members above it are
+    discarded, since a member stays one as the closure grows, and that
+    row is adjoined and its conjugates by the generators pushed.  The
+    extensions are those of popping and adjoining one row at a time.
+    """
     b = BSGS(group.degree)
-    queue = list(seeds)
-    while queue:
-        h = queue.pop()
-        if b.extend(h):
-            queue.extend(h.conjugate(g) for g in group.generators)
+    pairs = [(g, g.inverse()) for g in group.generators]
+    queue = rows_of(list(seeds), group.degree)
+    while len(queue):
+        outside = np.flatnonzero(~b.contains_rows(queue))
+        if not outside.size:
+            break
+        top = outside[-1]
+        h = queue[top]
+        b.extend(Perm(h, validate=False))
+        queue = np.concatenate(
+            [queue[:top]] + [conjugate_rows(h[None, :], g, g_inv) for g, g_inv in pairs]
+        )
     return _wrap(group.degree, b)
 
 
@@ -181,21 +195,28 @@ def _nested(a: PermutationGroup, b: PermutationGroup) -> bool:
 def p_element_rows(group: PermutationGroup, p: int, cap: int = 10**7) -> np.ndarray:
     """All nonidentity elements of p-power order, largest order first.
 
-    Each element's order is computed once, block by block; the sort is
-    stable, so rows of one order keep their enumeration order.
+    In Sym(degree) a p-power order is at most the largest power p^e not
+    above the degree, so an element is kept when g^(p^e) is the identity.
+    Only the kept rows get their orders computed, for a stable sort: rows
+    of one order keep their enumeration order.
     """
     if group.order > cap:
         raise ResourceCapExceeded(f"order {group.order} over enumeration cap {cap}")
+    e = 0
+    while p ** (e + 1) <= group.degree:
+        e += 1
+    ident = np.arange(group.degree, dtype=np.uint8)
     keep = [np.empty((0, group.degree), dtype=np.uint8)]
-    keep_orders = [np.empty(0, dtype=np.int64)]
     for block in group.element_blocks():
-        orders = row_orders(block)
-        p_powers = [o for o in np.unique(orders).tolist() if len(factorize(o)) == 1 and o % p == 0]
-        hit = np.isin(orders, p_powers)
+        power = block
+        for _ in range(e):
+            step = power
+            for _ in range(p - 1):
+                power = np.take_along_axis(power, step, axis=1)
+        hit = (power == ident).all(axis=1) & (block != ident).any(axis=1)
         keep.append(block[hit])
-        keep_orders.append(orders[hit])
     rows = np.concatenate(keep, axis=0)
-    return rows[np.argsort(-np.concatenate(keep_orders), kind="stable")]
+    return rows[np.argsort(-row_orders(rows), kind="stable")]
 
 
 def sylow_subgroup(group: PermutationGroup, p: int, cap: int = 10**7) -> PermutationGroup:
@@ -222,7 +243,8 @@ def sylow_subgroup(group: PermutationGroup, p: int, cap: int = 10**7) -> Permuta
             g = Perm(row, validate=False)
             if (g ** p).key not in inside:
                 continue
-            if any(s.conjugate(g) not in b for s in b.strong_gens):
+            conj = conjugate_rows(rows_of(b.strong_gens, group.degree), g)
+            if not b.contains_rows(conj).all():
                 continue
             before = b.order
             b.extend(g)

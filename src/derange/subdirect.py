@@ -17,7 +17,7 @@ import numpy as np
 from ._kernels import row_orders
 from .derangements import TwoOrbitAction
 from .group import GroupError, PermutationGroup, ResourceCapExceeded
-from .perm import MAX_DEGREE, Perm, fixes_any, lex_sorted, rows_then
+from .perm import MAX_DEGREE, Perm, conjugate_rows, fixes_any, lex_sorted, rows_of, rows_then
 from .structure import normal_subgroups
 from .subgroups import table_closure
 
@@ -164,10 +164,10 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
         return N._quotient
     if not N.is_subgroup_of(G):
         raise GroupError("kernel is not a subgroup of the parent")
-    for n in N.generators:
-        for g in G.generators:
-            if n.conjugate(g) not in N:
-                raise GroupError("kernel is not normal in the parent")
+    n_rows = rows_of(N.generators, G.degree)
+    conj = [conjugate_rows(n_rows, g) for g in G.generators]
+    if conj and not N.bsgs.contains_rows(np.concatenate(conj)).all():
+        raise GroupError("kernel is not normal in the parent")
 
     kernel_rows = N.element_rows()
     reps = [Perm.identity(G.degree)]

@@ -3,10 +3,10 @@
 Everything here trades speed for obvious correctness: no conjugacy
 shortcuts, no lattice pruning, just exhaustive closure growth.  Also the
 class-sum count of non-derangements that the scan must match, the
-reference versions of the normal-subgroup lattice and the quotient
-isomorphism search that the library's faster ones must match output
-for output, and the one recipe for launching the ``derange`` CLI in a
-separate process.
+reference versions of the stabilizer chain, the normal closure, the
+normal-subgroup lattice and the quotient isomorphism search that the
+library's faster ones must match output for output, and the one recipe
+for launching the ``derange`` CLI in a separate process.
 """
 
 import os
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from derange.group import PermutationGroup, ResourceCapExceeded
-from derange.perm import Perm
+from derange.perm import Perm, rows_of
 from derange.structure import conjugacy_classes, normal_closure
 
 
@@ -33,6 +33,118 @@ def class_sum_nonderangements(group, omega, class_cap: int = 10**6) -> int:
         raise ValueError("point set is not group-invariant")
     table = conjugacy_classes(group, cap=class_cap)
     return sum(c.size for c in table if bool((c.rep.images[pts] == pts).any()))
+
+
+class ReferenceBSGS:
+    """``group.BSGS`` one element at a time: the same deterministic
+    Schreier-Sims, sifting each element and each Schreier generator with
+    ``Perm`` products and keeping transversals as dicts.  The batched
+    chain must build the same base, strong generators and transversals."""
+
+    def __init__(self, degree: int, generators=()):
+        self.degree = degree
+        self.base: list[int] = []
+        self.strong_gens: list[Perm] = []
+        self.transversals: list[dict[int, Perm]] = []
+        for g in generators:
+            self.extend(g)
+
+    # g reduced through levels[start:]; returns (residue, stuck level)
+    def sift(self, g: Perm, start: int = 0) -> tuple[Perm, int]:
+        for i in range(start, len(self.base)):
+            p = g(self.base[i])
+            u = self.transversals[i].get(p)
+            if u is None:
+                return g, i
+            g = g * u.inverse()
+        return g, len(self.base)
+
+    def __contains__(self, g: Perm) -> bool:
+        residue, i = self.sift(g)
+        return i == len(self.base) and residue.is_identity()
+
+    def extend(self, g: Perm) -> bool:
+        residue, j = self.sift(g)
+        if j == len(self.base) and residue.is_identity():
+            return False
+        self._insert(residue, j)
+        self._complete(j)
+        return True
+
+    def _insert(self, residue: Perm, j: int) -> None:
+        if j == len(self.base):
+            self.base.append(int(residue.moved_points()[0]))
+            self.transversals.append({})
+        self.strong_gens.append(residue)
+        for i in range(j + 1):
+            self._rebuild(i)
+
+    def _level_gens(self, i: int) -> list[Perm]:
+        prefix = self.base[:i]
+        return [g for g in self.strong_gens if all(g(b) == b for b in prefix)]
+
+    def _rebuild(self, i: int) -> None:
+        gens = self._level_gens(i)
+        base = self.base[i]
+        tr = {base: Perm.identity(self.degree)}
+        frontier = [base]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                u = tr[p]
+                for s in gens:
+                    q = s(p)
+                    if q not in tr:
+                        tr[q] = u * s
+                        nxt.append(q)
+            frontier = nxt
+        self.transversals[i] = tr
+
+    def _verify_level(self, i: int):
+        tr = self.transversals[i]
+        gens = self._level_gens(i)
+        for p in sorted(tr):
+            u = tr[p]
+            for s in gens:
+                w = u * s * tr[s(p)].inverse()
+                if w.is_identity():
+                    continue
+                residue, j = self.sift(w, i + 1)
+                if not (j == len(self.base) and residue.is_identity()):
+                    return residue, j
+        return None
+
+    def _complete(self, start: int) -> None:
+        i = min(start, len(self.base) - 1)
+        while i >= 0:
+            bad = self._verify_level(i)
+            if bad is None:
+                i -= 1
+                continue
+            residue, j = bad
+            self._insert(residue, j)
+            i = j
+
+    @property
+    def order(self) -> int:
+        n = 1
+        for tr in self.transversals:
+            n *= len(tr)
+        return n
+
+    def transversal_rows(self) -> list[np.ndarray]:
+        return [rows_of([tr[p] for p in sorted(tr)], self.degree) for tr in self.transversals]
+
+
+def reference_normal_closure(group, seeds) -> ReferenceBSGS:
+    """The chain of ``normal_closure`` grown one popped element at a time."""
+    b = ReferenceBSGS(group.degree)
+    queue = list(seeds)
+    while queue:
+        h = queue.pop()
+        if b.extend(h):
+            queue.extend(h.conjugate(g) for g in group.generators)
+    return b
 
 
 def closure_rows(degree: int, gen_rows: np.ndarray, cap: int | None = None) -> np.ndarray:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,12 @@ from derange import (
     PermutationGroup,
     ResourceCapExceeded,
 )
+from derange.corpus import enumerate_transitive, load_corpus
 from derange.group import BSGS, factorize
-from oracles import closure_rows
+from derange.structure import conjugacy_classes, normal_closure
+from oracles import ReferenceBSGS, closure_rows, reference_normal_closure
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
 
 def cyc(degree, *cycles):
@@ -190,6 +196,76 @@ def test_bsgs_incremental_extend():
     # sift residue of a member is the identity at the end of the chain
     residue, level = b.sift(cyc(4, (1, 2, 3)))
     assert residue.is_identity() and level == len(b.base)
+
+
+def test_contains_rows_matches_element_set():
+    s4, a4 = stock("S4"), stock("A4")
+    rows = s4.element_rows()
+    mask = a4.bsgs.contains_rows(rows)
+    members = brute_elements(a4)
+    assert mask.tolist() == [r.tobytes() in members for r in rows]
+    assert int(mask.sum()) == 12
+    assert a4.bsgs.contains_rows(rows[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("gens", [[], [cyc(3, (0, 1, 2))]], ids=["empty-base", "base"])
+@pytest.mark.parametrize("g", [Perm([1, 0]), Perm([1, 0, 3, 2])], ids=["2-point", "4-point"])
+def test_chain_rejects_other_degrees(gens, g):
+    b = BSGS(3, gens)
+    before = (list(b.base), [s.key for s in b.strong_gens])
+    with pytest.raises(GroupError):
+        b.extend(g)
+    with pytest.raises(GroupError):
+        b.sift(g)
+    with pytest.raises(GroupError):
+        b.sift_rows(g.images[None, :])
+    with pytest.raises(GroupError):
+        b.contains_rows(g.images[None, :])
+    assert (b.base, [s.key for s in b.strong_gens]) == before
+
+
+def chain(b):
+    """What the batched chain must share with the one-at-a-time one."""
+    return b.base, [g.key for g in b.strong_gens], [t.tobytes() for t in b.transversal_rows()]
+
+
+def corpus(n):
+    """The builtin corpus to degree 7, the shipped fixtures from 8."""
+    return enumerate_transitive(n) if n <= 7 else load_corpus(FIXTURES / f"degree{n:02d}", n)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_bsgs_matches_reference_on_corpus(n):
+    for e in corpus(n).entries:
+        gens = e.group.generators
+        assert chain(BSGS(n, gens)) == chain(ReferenceBSGS(n, gens)), e.name
+
+
+def test_bsgs_matches_reference_on_random_generators():
+    rng = np.random.default_rng(2003)
+    for _ in range(40):
+        n = int(rng.integers(2, 13))
+        gens = []
+        for _ in range(int(rng.integers(1, 4))):
+            # permuting a random support lets small groups occur too
+            support = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+            images = np.arange(n)
+            images[support] = rng.permutation(support)
+            gens.append(Perm(images))
+        assert chain(BSGS(n, gens)) == chain(ReferenceBSGS(n, gens))
+
+
+def test_normal_closures_match_reference_on_degree9_fixtures():
+    for e in corpus(9).entries:
+        for cls in conjugacy_classes(e.group):
+            got = normal_closure(e.group, [cls.rep]).bsgs
+            want = reference_normal_closure(e.group, [cls.rep])
+            assert chain(got) == chain(want), (e.name, cls.rep)
+
+
+def test_transversal_rows_are_read_only():
+    tr = stock("S4").bsgs.transversal_rows()
+    assert tr and not any(t.flags.writeable for t in tr)
 
 
 def test_bsgs_on_random_generated_subgroups():

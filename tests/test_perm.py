@@ -142,8 +142,9 @@ def test_row_helpers_match_perm_ops():
     rng = np.random.default_rng(4)
     n = 9
     perms = [Perm(rng.permutation(n)) for _ in range(40)]
-    rows = rows_of(perms)
+    rows = rows_of(perms, n)
     assert rows.dtype == np.uint8 and rows.shape == (40, n)
+    assert rows_of([], n).shape == (0, n)
     assert [Perm(r, validate=False) for r in rows] == perms
 
     g = Perm(rng.permutation(n))
@@ -162,7 +163,7 @@ def test_rows_fix_any():
         Perm([1, 0, 2, 3]),
         Perm([1, 2, 3, 0]),
         Perm([0, 1, 3, 2]),
-    ])
+    ], 4)
     # only the first row fixes 2 or 3; the first and third fix some point
     assert fix_any_count(rows, np.array([2, 3])) == 1
     assert fix_any_count(rows, np.arange(4)) == 2
