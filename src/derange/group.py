@@ -51,6 +51,8 @@ class BSGS:
         self.strong_gens: list[Perm] = []
         self._gen_rows = np.empty((0, degree), dtype=np.uint8)
         self._levels: list[_Level] = []
+        # the product of the orbit lengths, kept up to date by _insert
+        self.order = 1
         for g in generators:
             self.extend(g)
 
@@ -104,6 +106,9 @@ class BSGS:
         self._gen_rows = np.concatenate([self._gen_rows, residue.images[None, :]])
         for i in range(j + 1):
             self._rebuild(i)
+        self.order = 1
+        for level in self._levels:
+            self.order *= len(level.points)
 
     def _rebuild(self, i: int) -> None:
         prefix = self.base[:i]
@@ -158,13 +163,6 @@ class BSGS:
             residue, j = bad
             self._insert(residue, j)
             i = j
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for level in self._levels:
-            n *= len(level.points)
-        return n
 
     def transversal_rows(self) -> list[np.ndarray]:
         """Per level, coset representative rows sorted by orbit point

@@ -200,9 +200,15 @@ def fixes_any(rows: np.ndarray, points) -> np.ndarray:
     return (rows[:, pts] == pts.astype(rows.dtype)).any(axis=1)
 
 
+def lex_order(rows: np.ndarray) -> np.ndarray:
+    """Indices that put the rows of a 2-D array in lexicographic order
+    (a stable sort)."""
+    return np.lexsort(rows.T[::-1])
+
+
 def lex_sorted(rows: np.ndarray) -> np.ndarray:
     """The rows of a 2-D array in lexicographic order (a stable sort)."""
-    return rows[np.lexsort(rows.T[::-1])]
+    return rows[lex_order(rows)]
 
 
 ROW_KEY_MAX_DEGREE = 15

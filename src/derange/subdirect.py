@@ -17,7 +17,16 @@ import numpy as np
 from ._kernels import row_orders
 from .derangements import TwoOrbitAction
 from .group import GroupError, PermutationGroup, ResourceCapExceeded
-from .perm import MAX_DEGREE, Perm, conjugate_rows, fixes_any, lex_sorted, rows_of, rows_then
+from .perm import (
+    MAX_DEGREE,
+    Perm,
+    conjugate_rows,
+    fixes_any,
+    lex_order,
+    lex_sorted,
+    rows_of,
+    rows_then,
+)
 from .structure import normal_subgroups
 from .subgroups import table_closure
 
@@ -45,6 +54,8 @@ class QuotientModel:
     _orders: np.ndarray | None = field(repr=False, default=None)
     _gens: list[int] | None = field(repr=False, default=None)
     _trees: list | None = field(repr=False, default=None)
+    _inverses: np.ndarray | None = field(repr=False, default=None)
+    _ranks: np.ndarray | None = field(repr=False, default=None)
     _derangements: np.ndarray | None = field(repr=False, default=None)
 
     @property
@@ -62,7 +73,26 @@ class QuotientModel:
             raise GroupError("element is not in the parent group") from None
 
     def inverse_points(self) -> np.ndarray:
-        return np.argmax(self.table == 0, axis=1)
+        if self._inverses is None:
+            self._inverses = np.argmax(self.table == 0, axis=1).astype(self.table.dtype)
+        return self._inverses
+
+    def point_ranks(self) -> np.ndarray:
+        """rank[p] = position of reps[p] in the lex order of all coset
+        representatives."""
+        if self._ranks is None:
+            ranks = np.empty(self.order, dtype=self.table.dtype)
+            ranks[lex_order(rows_of(self.reps, self.parent.degree))] = np.arange(self.order)
+            self._ranks = ranks
+        return self._ranks
+
+    def least_in_orbits(self, points: np.ndarray, cent: np.ndarray) -> np.ndarray:
+        """mask[i] = points[i] has the least rank of its orbit under
+        conjugation by the elements at the points cent."""
+        t, rank = self.table, self.point_ranks()
+        # y^-1 * c * y for every c in points (rows), every y in cent (cols)
+        conj = t[cent[None, :], t[points[:, None], self.inverse_points()[cent][None, :]]]
+        return rank[conj].min(axis=1) == rank[points]
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
@@ -235,43 +265,58 @@ class _IsoSearch:
     that respects every edge of a finite group's Cayley graph is a
     homomorphism, so a completed map is an isomorphism with no further
     verification.
+
+    Candidates are tried in the lex order of q2's coset representatives,
+    so maps are found in lex order of their generator images.  With
+    dedup, slot d keeps a candidate only if it is the least of its orbit
+    under the centralizer C_d of the images already chosen (all of q2 at
+    d = 0, where the orbit is a conjugacy class).  That keeps exactly
+    the least map of each class modulo inner automorphisms of q2: if
+    conjugating by some y gives a smaller map, y centralizes the images
+    before the first slot that differs, and that slot's image fails.
     """
 
-    def __init__(self, q1: QuotientModel, q2: QuotientModel, cap: int = ISO_CAP):
+    def __init__(self, q1: QuotientModel, q2: QuotientModel, dedup: bool, cap: int = ISO_CAP):
+        self.q2 = q2
+        self.dedup = dedup
         self.cap = cap
-        self.m = m = q1.order
+        self.m = q1.order
         self.gens = q1.generating_points()
         self.trees = q1.prefix_trees()
         # plain-int lookups: t2[c * m + x] is the point of x*c in q2
         self.t2 = memoryview(q2.table.reshape(-1))
         ord1, ord2 = q1.element_orders(), q2.element_orders()
-        # candidate images per slot: matching element order, lex order of
-        # coset representatives for deterministic output
+        rank = q2.point_ranks()
+        # candidate images per slot: matching element order, in rank order
         self.cands = []
         for g in self.gens:
-            k = int(ord1[g])
-            pool = [p for p in range(m) if int(ord2[p]) == k]
-            pool.sort(key=lambda p: q2.reps[p].key)
-            self.cands.append(pool)
+            pool = np.flatnonzero(ord2 == ord1[g])
+            self.cands.append(pool[np.argsort(rank[pool])])
         self.found: list[np.ndarray] = []
 
     def run(self) -> list[np.ndarray]:
         fwd = [0] * self.m
         used = bytearray(self.m)
         used[0] = 1
-        self._extend(0, fwd, used, [None] * len(self.gens))
+        cent = np.arange(self.m) if self.dedup else None
+        self._extend(0, fwd, used, [None] * len(self.gens), cent)
         return self.found
 
-    def _extend(self, depth: int, fwd: list[int], used: bytearray, rows: list):
+    def _extend(self, depth: int, fwd: list[int], used: bytearray, rows: list, cent):
         # fwd is the map on H_(depth-1), stale beyond it; used marks its
-        # image; rows[k][x] is the point of x*f(g_k) in q2
+        # image; rows[k][x] is the point of x*f(g_k) in q2; cent is the
+        # centralizer C_depth in q2, None without dedup
         if depth == len(self.gens):
             if len(self.found) >= self.cap:
                 raise ResourceCapExceeded(f"isomorphism count over cap {self.cap}")
             self.found.append(np.array(fwd, dtype=np.int64))
             return
         tree, edges = self.trees[depth]
-        for c in self.cands[depth]:
+        cands = self.cands[depth]
+        if cent is not None:
+            cands = cands[self.q2.least_in_orbits(cands, cent)]
+        table = self.q2.table
+        for c in cands.tolist():
             if used[c]:
                 continue
             rows[depth] = self.t2[c * self.m:(c + 1) * self.m]
@@ -288,7 +333,9 @@ class _IsoSearch:
                     if fwd[y] != rows[k][fwd[x]]:
                         break
                 else:
-                    self._extend(depth + 1, fwd, used, rows)
+                    # y commutes with c iff table[y, c] == table[c, y]
+                    sub = None if cent is None else cent[table[cent, c] == table[c, cent]]
+                    self._extend(depth + 1, fwd, used, rows, sub)
             for v in placed:
                 used[v] = 0
 
@@ -299,11 +346,13 @@ def quotient_isomorphisms(
     dedup: bool = True,
     cap: int = ISO_CAP,
 ) -> list[np.ndarray]:
-    """All isomorphisms q1 -> q2 as point maps (arrays of length |q1|).
+    """All isomorphisms q1 -> q2 as point maps (arrays of length |q1|);
+    ResourceCapExceeded once more than cap maps would be returned.
 
     With dedup, one representative per class modulo inner automorphisms
-    of q2; those classes match the conjugacy classes of the resulting
-    subdirect products inside parent1 x parent2.
+    of q2, the least in candidate order; those classes match the
+    conjugacy classes of the resulting subdirect products inside
+    parent1 x parent2.
     """
     if q1.order != q2.order:
         return []
@@ -313,23 +362,7 @@ def quotient_isomorphisms(
         return []
     if _center_size(q1) != _center_size(q2):
         return []
-    isos = _IsoSearch(q1, q2, cap).run()
-    if not dedup or len(isos) < 2:
-        return isos
-    gens = q1.generating_points()
-    inv2 = q2.inverse_points()
-    t2 = q2.table
-    ys = np.arange(q2.order)
-    keep, seen = [], set()
-    for iso in isos:
-        imgs = iso[gens]
-        # y^-1 * x * y for every y (rows), every generator image x (cols)
-        conj = t2[ys[:, None], t2[imgs[None, :], inv2[ys][:, None]]]
-        key = lex_sorted(conj)[0].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(iso)
-    return keep
+    return _IsoSearch(q1, q2, dedup, cap).run()
 
 
 @dataclass(frozen=True, eq=False)

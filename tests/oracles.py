@@ -4,9 +4,10 @@ Everything here trades speed for obvious correctness: no conjugacy
 shortcuts, no lattice pruning, just exhaustive closure growth.  Also the
 class-sum count of non-derangements that the scan must match, the
 reference versions of the stabilizer chain, the normal closure, the
-normal-subgroup lattice and the quotient isomorphism search that the
-library's faster ones must match output for output, and the one recipe
-for launching the ``derange`` CLI in a separate process.
+normal-subgroup lattice, the quotient isomorphism search and its
+dedup pass that the library's faster ones must match output for output,
+and the one recipe for launching the ``derange`` CLI in a separate
+process.
 """
 
 import os
@@ -16,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from derange.group import PermutationGroup, ResourceCapExceeded
-from derange.perm import Perm, rows_of
+from derange.perm import Perm, lex_sorted, rows_of
 from derange.structure import conjugacy_classes, normal_closure
+from derange.subdirect import quotient_isomorphisms
 
 
 def class_sum_nonderangements(group, omega, class_cap: int = 10**6) -> int:
@@ -334,6 +336,30 @@ def reference_isomorphisms(q1, q2):
     fwd[0] = bwd[0] = 0
     extend(0, fwd, bwd)
     return found
+
+
+def reference_dedup_isomorphisms(q1, q2):
+    """One isomorphism per class modulo inner automorphisms of q2, in the
+    order and form of ``quotient_isomorphisms(q1, q2, dedup=True)``: the
+    full search, then the first map found with each conjugation key, the
+    lex-least row of the generator images conjugated by each element."""
+    isos = quotient_isomorphisms(q1, q2, dedup=False)
+    if len(isos) < 2:
+        return isos
+    gens = q1.generating_points()
+    t2 = q2.table
+    inv2 = np.argmax(t2 == 0, axis=1)
+    ys = np.arange(q2.order)
+    keep, seen = [], set()
+    for iso in isos:
+        imgs = iso[gens]
+        # y^-1 * x * y for every y (rows), every generator image x (cols)
+        conj = t2[ys[:, None], t2[imgs[None, :], inv2[ys][:, None]]]
+        key = lex_sorted(conj)[0].tobytes()
+        if key not in seen:
+            seen.add(key)
+            keep.append(iso)
+    return keep
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -1,8 +1,9 @@
 """Quotient models, isomorphism search, Goursat enumeration.
 
 Oracles: quotient tables are checked against the group laws directly,
-isomorphism lists against an all-bijections scan, and Goursat output
-against a complete subgroup-lattice enumeration of the direct product.
+isomorphism lists against an all-bijections scan and a full search
+with a post-hoc dedup pass, and Goursat output against a complete
+subgroup-lattice enumeration of the direct product.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from derange import subdirect
-from derange.corpus import load_corpus
+from derange.corpus import enumerate_transitive, load_corpus
 from derange.group import GroupError, PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm
 from derange.pipeline import verify_degree
@@ -26,7 +27,7 @@ from derange.subdirect import (
     quotient_isomorphisms,
     subdirect_derangement,
 )
-from oracles import reference_isomorphisms
+from oracles import reference_dedup_isomorphisms, reference_isomorphisms
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
@@ -193,6 +194,24 @@ def brute_isos(q1, q2):
     return out
 
 
+@pytest.fixture(scope="module")
+def degree9_searches():
+    """Every (q1, q2) pair that verify_degree(9) on the fixtures searches,
+    in call order."""
+    searched = []
+    real = subdirect.quotient_isomorphisms
+
+    def record(q1, q2, *args, **kwargs):
+        searched.append((q1, q2))
+        return real(q1, q2, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subdirect, "quotient_isomorphisms", record)
+        report = verify_degree(9, corpus=load_corpus(FIXTURES / "degree09", 9))
+    assert report.verdict == "verified"
+    return searched
+
+
 class TestQuotientIsomorphisms:
     def test_trivial_quotients(self):
         isos = quotient_isomorphisms(quotient(S4, S4), quotient(A4, A4))
@@ -240,29 +259,61 @@ class TestQuotientIsomorphisms:
                 for y in range(6):
                     assert f[table_mult(qa, x, y)] == table_mult(qb, f[x], f[y])
 
-    def test_match_reference_on_degree9_verify(self, monkeypatch):
+    def test_match_reference_on_degree9_verify(self, degree9_searches):
         # every quotient pair verify_degree(9) searches, in the reference's
         # order and form
-        searched = []
-        real = subdirect.quotient_isomorphisms
-
-        def record(q1, q2, *args, **kwargs):
-            searched.append((q1, q2))
-            return real(q1, q2, *args, **kwargs)
-
-        monkeypatch.setattr(subdirect, "quotient_isomorphisms", record)
-        assert verify_degree(9, corpus=load_corpus(FIXTURES / "degree09", 9)).verdict == "verified"
-        monkeypatch.undo()
-        assert len(searched) == 377
-        for q1, q2 in searched:
+        assert len(degree9_searches) == 377
+        for q1, q2 in degree9_searches:
             got = [iso.tolist() for iso in quotient_isomorphisms(q1, q2, dedup=False)]
             want = [iso.tolist() for iso in reference_isomorphisms(q1, q2)]
             assert got == want, (q1.parent.name, q1.kernel.order, q2.parent.name, q2.kernel.order)
+
+    def test_dedup_matches_reference_on_degree9_verify(self, degree9_searches):
+        found = kept = 0
+        for q1, q2 in degree9_searches:
+            got = [iso.tolist() for iso in quotient_isomorphisms(q1, q2, dedup=True)]
+            want = [iso.tolist() for iso in reference_dedup_isomorphisms(q1, q2)]
+            assert got == want, (q1.parent.name, q1.kernel.order, q2.parent.name, q2.kernel.order)
+            found += len(quotient_isomorphisms(q1, q2, dedup=False))
+            kept += len(got)
+        assert (found, kept) == (4156, 433)
+
+    @pytest.mark.parametrize("degree, scope", [(4, 10**5), (6, 10**5), (10, 2 * 10**4)])
+    def test_dedup_matches_reference_on_sweep(self, degree, scope):
+        # every quotient pair of the imprimitive same-degree Goursat sweep
+        # with |G1 x G2| <= scope
+        if degree <= 7:
+            corpus = enumerate_transitive(degree)
+        else:
+            corpus = load_corpus(FIXTURES / f"degree{degree:02d}", degree)
+        groups = [e.group for e in corpus.entries if e.group.minimal_block_systems()]
+        normals = {id(G): normal_subgroups(G) for G in groups}
+        searches = 0
+        for G1, G2 in itertools.combinations_with_replacement(groups, 2):
+            if G1.order * G2.order > scope:
+                continue
+            for N1 in normals[id(G1)]:
+                for N2 in normals[id(G2)]:
+                    if G1.order // N1.order != G2.order // N2.order:
+                        continue
+                    q1, q2 = quotient(G1, N1), quotient(G2, N2)
+                    got = [iso.tolist() for iso in quotient_isomorphisms(q1, q2, dedup=True)]
+                    want = [iso.tolist() for iso in reference_dedup_isomorphisms(q1, q2)]
+                    assert got == want, (G1.name, N1.order, G2.name, N2.order)
+                    searches += 1
+        assert searches > 0
 
     def test_iso_cap(self):
         qa, qb = quotient(V4, trivial(4)), quotient(V4, trivial(4))
         with pytest.raises(ResourceCapExceeded):
             quotient_isomorphisms(qa, qb, dedup=False, cap=3)
+
+    def test_iso_cap_counts_kept_maps_with_dedup(self):
+        # S3 has 6 automorphisms, all inner: one is kept
+        qa, qb = quotient(S3, trivial(3)), quotient(S3, trivial(3))
+        assert len(quotient_isomorphisms(qa, qb, dedup=True, cap=1)) == 1
+        with pytest.raises(ResourceCapExceeded):
+            quotient_isomorphisms(qa, qb, dedup=False, cap=1)
 
 
 def subgroup_scan(G):
