@@ -33,7 +33,6 @@ from .derangements import (
     TwoOrbitAction,
     classify_case,
     count_nonderangements,
-    find_derangement,
     find_derangement_detailed,
     is_derangement,
     pndr,
@@ -47,7 +46,6 @@ from .structure import conjugacy_classes, normal_subgroups, sylow_subgroup
 from .subdirect import (
     SubdirectDescriptor,
     goursat_enumerate,
-    materialize,
     materialize_group,
     subdirect_derangement,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "d_sequences",
     "emit_report",
     "enumerate_transitive",
-    "find_derangement",
     "find_derangement_detailed",
     "good_count_bruteforce",
     "good_count_formula",
@@ -93,7 +90,6 @@ __all__ = [
     "group_json",
     "is_derangement",
     "load_corpus",
-    "materialize",
     "materialize_group",
     "min_cover_search",
     "normal_subgroups",

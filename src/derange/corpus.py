@@ -92,7 +92,8 @@ def parse_group_json(data, where: str) -> tuple[PermutationGroup, str | None]:
     if not isinstance(data, dict):
         raise GroupError(f"{where}: expected a JSON object")
     degree = data.get("degree")
-    if not isinstance(degree, int) or not 1 <= degree <= MAX_DEGREE:
+    # not isinstance: JSON true/false load as bool, a subclass of int
+    if type(degree) is not int or not 1 <= degree <= MAX_DEGREE:
         raise GroupError(f"{where}: degree must be an integer in 1..{MAX_DEGREE}")
     gens_raw = data.get("generators")
     if not isinstance(gens_raw, list):
@@ -105,7 +106,7 @@ def parse_group_json(data, where: str) -> tuple[PermutationGroup, str | None]:
         if (
             not isinstance(row, list)
             or len(row) != degree
-            or not all(isinstance(v, int) for v in row)
+            or not all(type(v) is int for v in row)
             or sorted(row) != list(range(degree))
         ):
             raise GroupError(f"{where}: generator {idx} is not a bijection of 0..{degree - 1}")

@@ -108,13 +108,6 @@ def find_derangement_detailed(
     return None, "enumeration"
 
 
-def find_derangement(
-    group: PermutationGroup, omega, seed: int = 0, budget: int = 10**4, **caps
-) -> Perm | None:
-    witness, _ = find_derangement_detailed(group, omega, seed, budget, **caps)
-    return witness
-
-
 # ---------------------------------------------------------------------------
 # two-orbit actions and Sylow certificates
 

@@ -246,23 +246,10 @@ class PermutationGroup:
     def orbits(self) -> list[np.ndarray]:
         """Orbits on 0..degree-1, sorted by least point, each sorted."""
         if self._orbits is None:
-            parent = np.arange(self.degree)
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for g in self.generators:
-                for x in range(self.degree):
-                    a, b = find(x), find(g(x))
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
-            roots = {}
-            for x in range(self.degree):
-                roots.setdefault(find(x), []).append(x)
-            self._orbits = [np.array(roots[r]) for r in sorted(roots)]
+            pairs = [(x, y) for g in self.generators for x, y in enumerate(g.images.tolist())]
+            label = _join_classes(self.degree, pairs)
+            # labels run 0..k-1; np.unique would first import numpy.ma (about 1.5 MB)
+            self._orbits = [np.flatnonzero(label == k) for k in range(label.max(initial=-1) + 1)]
         return self._orbits
 
     def orbit(self, point: int) -> np.ndarray:
@@ -374,7 +361,7 @@ class PermutationGroup:
         gens = [g.images for g in image.generators]
         systems = {}
         for beta in range(1, m):
-            block_of = _pair_congruence(m, gens, 0, beta)
+            block_of = _join_classes(m, [(0, beta)], gens)
             nblocks = int(block_of.max()) + 1
             if nblocks <= 1:
                 continue
@@ -428,21 +415,17 @@ class BlockSystem:
                 out[b].append(p)
         return [tuple(b) for b in out]
 
-    def check_invariant(self, group: PermutationGroup) -> bool:
-        for g in group.generators:
-            for block in self.blocks():
-                ids = {int(self.block_of[g(p)]) for p in block}
-                if len(ids) != 1 or -1 in ids:
-                    return False
-        return True
 
+def _join_classes(m: int, pairs, gen_rows=()) -> np.ndarray:
+    """Class labels of the finest partition of 0..m-1 that joins each
+    pair and is closed under the generator rows (joining a and b joins
+    g[a] and g[b]); classes are numbered by their least point.
 
-def _pair_congruence(m: int, gen_rows, alpha: int, beta: int) -> np.ndarray:
-    """Finest G-congruence on 0..m-1 identifying alpha with beta.
-
-    Union-find with a merge queue; gen_rows act on the relabeled orbit.
+    Union-find with a merge queue: each root is its class's least point,
+    and a merge of two roots queues their images under every generator.
     """
     parent = list(range(m))
+    rows = [np.asarray(g).tolist() for g in gen_rows]
 
     def find(x):
         while parent[x] != x:
@@ -450,7 +433,7 @@ def _pair_congruence(m: int, gen_rows, alpha: int, beta: int) -> np.ndarray:
             x = parent[x]
         return x
 
-    queue = [(alpha, beta)]
+    queue = list(pairs)
     while queue:
         a, b = queue.pop()
         ra, rb = find(a), find(b)
@@ -459,16 +442,13 @@ def _pair_congruence(m: int, gen_rows, alpha: int, beta: int) -> np.ndarray:
         if ra > rb:
             ra, rb = rb, ra
         parent[rb] = ra
-        for g in gen_rows:
-            queue.append((int(g[ra]), int(g[rb])))
+        for g in rows:
+            queue.append((g[ra], g[rb]))
     labels = {}
-    block_of = np.empty(m, dtype=np.int16)
+    label = np.empty(m, dtype=np.int16)
     for x in range(m):
-        r = find(x)
-        if r not in labels:
-            labels[r] = len(labels)
-        block_of[x] = labels[r]
-    return block_of
+        label[x] = labels.setdefault(find(x), len(labels))
+    return label
 
 
 def _refines(finer: np.ndarray, coarser: np.ndarray) -> bool:

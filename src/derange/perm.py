@@ -153,9 +153,6 @@ class Perm:
         body = "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
         return f"Perm[{body}]"
 
-    def to_list(self) -> list[int]:
-        return [int(x) for x in self.images]
-
 
 # ---------------------------------------------------------------------------
 # batched helpers on (m, degree) uint8 row arrays

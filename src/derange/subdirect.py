@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import row_orders
-from .derangements import TwoOrbitAction
 from .group import GroupError, PermutationGroup, ResourceCapExceeded
 from .perm import (
     MAX_DEGREE,
@@ -50,7 +49,6 @@ class QuotientModel:
     table: np.ndarray = field(repr=False)
     reps: list[Perm] = field(repr=False)
     kernel_rows: np.ndarray = field(repr=False)
-    _enc: dict = field(repr=False, default_factory=dict)
     _orders: np.ndarray | None = field(repr=False, default=None)
     _gens: list[int] | None = field(repr=False, default=None)
     _trees: list | None = field(repr=False, default=None)
@@ -61,16 +59,6 @@ class QuotientModel:
     @property
     def order(self) -> int:
         return len(self.reps)
-
-    def coset_of(self, g: Perm) -> int:
-        """Point of the coset containing g, via the lex-least coset row."""
-        if g.degree != self.parent.degree:
-            raise GroupError("degree mismatch in coset lookup")
-        key = lex_sorted(rows_then(self.kernel_rows, g))[0].tobytes()
-        try:
-            return self._enc[key]
-        except KeyError:
-            raise GroupError("element is not in the parent group") from None
 
     def inverse_points(self) -> np.ndarray:
         if self._inverses is None:
@@ -235,24 +223,11 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
     # (and G) alive after their last use until the cyclic collector runs
     kernel = PermutationGroup(N.degree, N.generators, name=N.name)
     kernel._bsgs = N.bsgs
-    model = QuotientModel(G, kernel, table, reps, kernel_rows, enc)
+    model = QuotientModel(G, kernel, table, reps, kernel_rows)
     if model.order * N.order != G.order:
         raise GroupError("quotient order times kernel order is not the parent order")
     N._quotient = model
     return model
-
-
-def _order_multiset(model: QuotientModel) -> bytes:
-    return np.sort(model.element_orders()).tobytes()
-
-
-def _center_size(model: QuotientModel) -> int:
-    m = model.order
-    ok = np.ones(m, dtype=bool)
-    pts = np.arange(m)
-    for g in model.generating_points():
-        ok &= model.table[g, pts] == model.table[pts, np.full(m, g)]
-    return int(ok.sum())
 
 
 class _IsoSearch:
@@ -354,13 +329,7 @@ def quotient_isomorphisms(
     conjugacy classes of the resulting subdirect products inside
     parent1 x parent2.
     """
-    if q1.order != q2.order:
-        return []
-    if q1.order == 1:
-        return [np.zeros(1, dtype=np.int64)]
-    if _order_multiset(q1) != _order_multiset(q2):
-        return []
-    if _center_size(q1) != _center_size(q2):
+    if q1.order != q2.order:  # the search indexes q2 by q1's points
         return []
     return _IsoSearch(q1, q2, dedup, cap).run()
 
@@ -441,11 +410,6 @@ def materialize_group(desc: SubdirectDescriptor) -> PermutationGroup:
             "the point map is not an isomorphism of the quotients"
         )
     return G
-
-
-def materialize(desc: SubdirectDescriptor) -> TwoOrbitAction:
-    """The subdirect product as a two-equal-orbit action."""
-    return TwoOrbitAction.of(materialize_group(desc))
 
 
 def subdirect_derangement(desc: SubdirectDescriptor) -> Perm | None:

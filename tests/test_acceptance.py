@@ -40,6 +40,7 @@ from derange.cover import (
     tight_cover_construct,
 )
 from derange.derangements import (
+    TwoOrbitAction,
     count_nonderangements,
     find_derangement_detailed,
     pndr,
@@ -50,7 +51,7 @@ from derange.group import Perm, PermutationGroup
 from derange.perm import row_keys
 from derange.pipeline import emit_report, verify_degree
 from derange.structure import normal_subgroups
-from derange.subdirect import goursat_enumerate, materialize, materialize_group
+from derange.subdirect import goursat_enumerate, materialize_group
 from derange.subgroups import ElementTable, subgroup_classes
 from oracles import class_sum_nonderangements, derange_process
 
@@ -116,7 +117,7 @@ def two_orbit_sweep(corpora):
                 e1.group, e2.group,
                 normals1=normals[e1.name], normals2=normals[e2.name],
             )
-            actions.extend((materialize(d), e1, e2) for d in descs)
+            actions.extend((TwoOrbitAction.of(materialize_group(d)), e1, e2) for d in descs)
         sweep[n] = actions
     return sweep
 

@@ -166,6 +166,20 @@ class TestSingleGroupCommands:
         assert result.exit_code == 2
         assert "generator" in result.stderr
 
+    @pytest.mark.parametrize(
+        "doc, msg",
+        [
+            ('{"degree": true, "generators": []}', "degree must be an integer"),
+            ('{"degree": 2, "generators": [[true, false]]}', "generator 0 is not a bijection"),
+        ],
+    )
+    def test_json_booleans_are_input_errors(self, runner, tmp_path, doc, msg):
+        path = tmp_path / "bools.json"
+        path.write_text(doc)
+        result = runner.invoke(derange, ["pndr", "--group", str(path)])
+        assert result.exit_code == 2
+        assert msg in result.stderr
+
     def test_missing_file_is_input_error(self, runner, tmp_path):
         result = runner.invoke(derange, ["pndr", "--group", str(tmp_path / "no.json")])
         assert result.exit_code == 2

@@ -154,6 +154,10 @@ class TestGroupJson:
             ({"degree": 3, "generators": [[0, 1, 2], [0, 0, 2]]}, "generator 1"),
             ({"degree": 3, "generators": [[0, 1, 2], [0, 1, 3]]}, "generator 1"),
             ({"degree": 3, "generators": [], "name": 7}, "name"),
+            # JSON true/false load as bools, which are ints to isinstance
+            ({"degree": True, "generators": []}, "degree must be an integer"),
+            ({"degree": 2, "generators": [[True, False]]}, "generator 0 is not a bijection"),
+            ({"degree": 2, "generators": [[1, False]]}, "generator 0 is not a bijection"),
         ],
     )
     def test_rejections(self, doc, msg):

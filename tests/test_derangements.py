@@ -9,7 +9,6 @@ from derange.derangements import (
     TwoOrbitAction,
     classify_case,
     count_nonderangements,
-    find_derangement,
     find_derangement_detailed,
     is_derangement,
     pndr,
@@ -147,8 +146,8 @@ class TestFindDerangement:
         assert is_derangement(w, range(4))
 
     def test_witness_is_deterministic_per_seed(self):
-        a = find_derangement(A5, range(5), seed=11)
-        b = find_derangement(A5, range(5), seed=11)
+        a = find_derangement_detailed(A5, range(5), seed=11)[0]
+        b = find_derangement_detailed(A5, range(5), seed=11)[0]
         assert a == b
 
     def test_absence_is_conclusive(self):
@@ -177,7 +176,7 @@ class TestFindDerangement:
         for pt in range(12):
             stabs.add(frozenset(g.key for g in P.elements() if g(pt) == pt))
         assert len(stabs) == 2
-        assert find_derangement(P, range(12), budget=0) is not None
+        assert find_derangement_detailed(P, range(12), budget=0)[0] is not None
 
 
 class TestTwoOrbitAction:
@@ -254,7 +253,7 @@ class TestSylowCertificate:
         # counting bound: 2 <= d <= s - p + 1 <= 2b - p + 1
         assert 2 <= cert.d <= cert.stabilizer_count - 3 + 1 <= 2 * cert.b - 3 + 1
         # the group itself still has one
-        w = find_derangement(G, range(12), seed=0)
+        w = find_derangement_detailed(G, range(12), seed=0)[0]
         assert w is not None and is_derangement(w, range(12))
 
     def test_covered_sylow_exhaustive_confirmation(self):

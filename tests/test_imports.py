@@ -1,4 +1,4 @@
-"""Every imported name in the source, tests and tools is used.
+"""Every imported name in the source, tests, tools and benchmark harness is used.
 
 No linter ships with the project, so this is a small AST check: a name
 bound by an import must be read somewhere else in the same module.
@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = sorted(
     path
-    for folder in ("src", "tests", "tools")
+    for folder in ("src", "tests", "tools", "perfbench")
     for path in (ROOT / folder).rglob("*.py")
     if path.name != "__init__.py"
 )

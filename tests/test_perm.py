@@ -23,7 +23,7 @@ def brute_compose(f, g):
 def test_identity_and_validation():
     e = Perm.identity(5)
     assert e.is_identity()
-    assert e.to_list() == [0, 1, 2, 3, 4]
+    assert e.images.tolist() == [0, 1, 2, 3, 4]
     with pytest.raises(PermError):
         Perm([0, 0, 1])
     with pytest.raises(PermError):
@@ -51,7 +51,7 @@ def test_images_rejected_before_uint8_cast(images, message):
 def test_compose_is_left_to_right():
     f = Perm([1, 2, 0])
     g = Perm([1, 0, 2])
-    assert (f * g).to_list() == brute_compose(f, g) == [0, 2, 1]
+    assert (f * g).images.tolist() == brute_compose(f, g) == [0, 2, 1]
     # associativity spot check
     h = Perm([2, 1, 0])
     assert ((f * g) * h).key == (f * (g * h)).key
@@ -63,7 +63,7 @@ def test_compose_random_against_pointwise():
         n = int(rng.integers(1, 12))
         f = Perm(rng.permutation(n))
         g = Perm(rng.permutation(n))
-        assert (f * g).to_list() == brute_compose(f, g)
+        assert (f * g).images.tolist() == brute_compose(f, g)
         assert (f * f.inverse()).is_identity()
         assert (f.inverse() * f).is_identity()
 
@@ -83,7 +83,7 @@ def test_pow_matches_repeated_product():
 
 def test_from_cycles_and_cycles_roundtrip():
     g = Perm.from_cycles(6, (0, 1, 2), (4, 5))
-    assert g.to_list() == [1, 2, 0, 3, 5, 4]
+    assert g.images.tolist() == [1, 2, 0, 3, 5, 4]
     assert g.cycles() == [(0, 1, 2), (4, 5)]
     assert g.cycles(singletons=True) == [(0, 1, 2), (3,), (4, 5)]
     assert sorted(len(c) for c in g.cycles(singletons=True)) == [1, 2, 3]
@@ -153,9 +153,9 @@ def test_row_helpers_match_perm_ops():
     g_inv = g.inverse()
     conj = conjugate_rows(rows, g, g_inv)
     for i, p in enumerate(perms):
-        assert list(after[i]) == (p * g).to_list()
-        assert list(inv[i]) == p.inverse().to_list()
-        assert list(conj[i]) == p.conjugate(g).to_list()
+        assert list(after[i]) == (p * g).images.tolist()
+        assert list(inv[i]) == p.inverse().images.tolist()
+        assert list(conj[i]) == p.conjugate(g).images.tolist()
 
 
 def test_rows_fix_any():

@@ -14,6 +14,7 @@ import pytest
 
 from derange import subdirect
 from derange.corpus import enumerate_transitive, load_corpus
+from derange.derangements import TwoOrbitAction
 from derange.group import GroupError, PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm
 from derange.pipeline import verify_degree
@@ -21,7 +22,6 @@ from derange.structure import normal_subgroups
 from derange.subdirect import (
     SubdirectDescriptor,
     goursat_enumerate,
-    materialize,
     materialize_group,
     quotient,
     quotient_isomorphisms,
@@ -52,6 +52,13 @@ def trivial(degree):
 
 def table_mult(model, x, y):
     return int(model.table[y, x])
+
+
+def coset_lookup(model):
+    """element row bytes -> the point p whose coset_rows(p) holds it"""
+    return {
+        row.tobytes(): p for p in range(model.order) for row in model.coset_rows(p)
+    }
 
 
 class TestQuotient:
@@ -92,27 +99,24 @@ class TestQuotient:
 
     def test_coset_lookup_constant_on_cosets(self):
         q = quotient(S4, V4)
+        point = coset_lookup(q)
+        assert len(point) == S4.order
         for g in S4.elements():
-            p = q.coset_of(g)
+            p = point[g.images.tobytes()]
             for n in V4.elements():
-                assert q.coset_of(n * g) == p
-        assert q.coset_of(Perm.identity(4)) == 0
+                assert point[(n * g).images.tobytes()] == p
+        assert point[Perm.identity(4).images.tobytes()] == 0
 
     def test_coset_lookup_respects_multiplication(self):
         q = quotient(S4, A4)
+        point = coset_lookup(q)
+
+        def at(g):
+            return point[g.images.tobytes()]
+
         for g in S4.elements():
             for h in S4.elements():
-                assert q.coset_of(g * h) == table_mult(q, q.coset_of(g), q.coset_of(h))
-
-    def test_outside_element_rejected(self):
-        q = quotient(A4, V4)
-        with pytest.raises(GroupError):
-            q.coset_of(cyc(4, (0, 1)))
-
-    def test_degree_mismatch_rejected(self):
-        q = quotient(S4, V4)
-        with pytest.raises(GroupError):
-            q.coset_of(cyc(3, (0, 1)))
+                assert at(g * h) == table_mult(q, at(g), at(h))
 
     def test_non_normal_kernel_rejected(self):
         H = PermutationGroup.from_cycles(4, [[(0, 1)]])
@@ -217,6 +221,8 @@ class TestQuotientIsomorphisms:
         isos = quotient_isomorphisms(quotient(S4, S4), quotient(A4, A4))
         assert len(isos) == 1
         assert isos[0].tolist() == [0]
+        with pytest.raises(ResourceCapExceeded):
+            quotient_isomorphisms(quotient(S4, S4), quotient(A4, A4), cap=0)
 
     def test_mismatched_orders(self):
         assert quotient_isomorphisms(quotient(C2, trivial(2)), quotient(A3, trivial(3))) == []
@@ -229,6 +235,26 @@ class TestQuotientIsomorphisms:
 
     def test_v4_vs_c4_none(self):
         assert quotient_isomorphisms(quotient(V4, trivial(4)), quotient(C4, trivial(4))) == []
+
+    def test_equal_order_statistics_different_centres(self):
+        # C8 x C2 and the modular group M16 have the same element orders;
+        # only their centres tell them apart, and the search alone does
+        c8c2 = PermutationGroup.from_cycles(10, [[(0, 1, 2, 3, 4, 5, 6, 7)], [(8, 9)]])
+        m16 = PermutationGroup(
+            8, [Perm([(x + 1) % 8 for x in range(8)]), Perm([5 * x % 8 for x in range(8)])]
+        )
+        qa, qb = quotient(c8c2, trivial(10)), quotient(m16, trivial(8))
+        assert qa.order == qb.order == 16
+        assert sorted(qa.element_orders().tolist()) == sorted(qb.element_orders().tolist())
+
+        def centre_size(q):
+            return int((q.table == q.table.T).all(axis=1).sum())
+
+        assert (centre_size(qa), centre_size(qb)) == (16, 4)
+        for q1, q2 in [(qa, qb), (qb, qa)]:
+            assert reference_isomorphisms(q1, q2) == []
+            assert quotient_isomorphisms(q1, q2, dedup=False) == []
+            assert quotient_isomorphisms(q1, q2, dedup=True) == []
 
     def test_s3_self_isomorphisms(self):
         qa, qb = quotient(S3, trivial(3)), quotient(S3, trivial(3))
@@ -483,7 +509,7 @@ class TestGoursat:
 class TestMaterialize:
     def test_diagonal_c2(self):
         d = next(d for d in goursat_enumerate(C2, C2) if d.quotient_order == 2)
-        act = materialize(d)
+        act = TwoOrbitAction.of(materialize_group(d))
         assert act.group.order == 2
         assert act.n == 2
         assert act.omega1 == (0, 1) and act.omega2 == (2, 3)
@@ -512,11 +538,10 @@ class TestMaterialize:
         for d in goursat_enumerate(S4, S3):
             G = materialize_group(d)
             pm = d.point_map
-            for _ in range(20):
-                g = G.random_element(np.random.default_rng(d.quotient_order))
-                left = Perm(g.images[:4], validate=False)
-                right = Perm(g.images[4:] - 4, validate=False)
-                assert int(pm[d.q1.coset_of(left)]) == d.q2.coset_of(right)
+            point1, point2 = coset_lookup(d.q1), coset_lookup(d.q2)
+            for row in G.element_rows():
+                left, right = row[:4], row[4:] - 4
+                assert int(pm[point1[left.tobytes()]]) == point2[right.tobytes()]
 
 
 def brute_derangement(G):
