@@ -34,7 +34,6 @@ from .derangements import (
     classify_case,
     count_nonderangements,
     find_derangement_detailed,
-    is_derangement,
     pndr,
     sylow_certificate,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "good_count_formula",
     "goursat_enumerate",
     "group_json",
-    "is_derangement",
     "load_corpus",
     "materialize_group",
     "min_cover_search",

@@ -9,7 +9,6 @@ found, 2 usage or input error, 3 partial (a resource cap was hit).
 """
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -57,16 +56,6 @@ def _load_group(path):
     return group, name or p.stem
 
 
-def _seed_from_env(seed: int) -> int:
-    raw = os.environ.get("DERANGE_SEED")
-    if raw is None:
-        return seed
-    try:
-        return int(raw)
-    except ValueError:
-        _fail(f"DERANGE_SEED must be an integer, got {raw!r}")
-
-
 def _emit(doc) -> None:
     click.echo(json.dumps(doc, sort_keys=True))
 
@@ -87,7 +76,6 @@ def derange():
               help="write the canonical JSON report here ('-' for stdout)")
 def verify_cmd(degree, corpus_dir, seed, max_order, json_path):
     """Check every subdirect product of imprimitive pairs of one degree."""
-    seed = _seed_from_env(seed)
     caps = VerifyCaps(max_order=max_order)
     corpus = _run(load_corpus, corpus_dir, degree) if corpus_dir else None
     report = _run(verify_degree, degree, corpus=corpus, caps=caps, seed=seed)
@@ -128,7 +116,6 @@ def pndr_cmd(group_file):
 @click.option("--seed", type=int, default=0, show_default=True)
 def derangement_cmd(group_file, seed):
     """Find a fixed-point-free element, or verify that none exists."""
-    seed = _seed_from_env(seed)
     group, name = _load_group(group_file)
     witness, method = _run(
         find_derangement_detailed, group, range(group.degree), seed=seed

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._kernels import fix_any_count
 from .group import GroupError, PermutationGroup, ResourceCapExceeded, factorize
-from .perm import Perm, fixes_any, lex_sorted
+from .perm import Perm, fixes_any, least_derangement
 from .structure import is_prime, sylow_subgroup
 
 
@@ -23,10 +23,6 @@ class Inconclusive(RuntimeError):
 
 class CertificateError(RuntimeError):
     """A certified conclusion failed to hold; the input or code is wrong."""
-
-
-def is_derangement(g: Perm, omega) -> bool:
-    return not fixes_any(g.images[None, :], list(omega))[0]
 
 
 def _omega_array(group: PermutationGroup, omega) -> np.ndarray:
@@ -202,12 +198,14 @@ def sylow_certificate(
     elementary = _is_elementary_abelian(P, p)
     if not elementary:
         raise CertificateError("Sylow subgroup is not elementary abelian")
-    stab_count = _distinct_stabilizer_count(P, p)
+    rows = P.element_rows()
+    # the stabilizer of x is the set of P's elements that fix x
+    stab_count = len({fixes_any(rows, [x]).tobytes() for x in range(P.degree)})
     if stab_count > 2 * b:
         raise CertificateError(
             f"{stab_count} distinct point stabilizers exceeds 2b = {2*b}"
         )
-    witness = _sylow_derangement(P, action)
+    witness = least_derangement(rows, action.omega)
     if witness is not None:
         return SylowCertificate(p, b, k, d, lengths, True, stab_count, witness,
                                 "elementary-abelian-derangement")
@@ -221,43 +219,6 @@ def sylow_certificate(
         )
     return SylowCertificate(p, b, k, d, lengths, True, stab_count, None,
                             "elementary-abelian")
-
-
-def _distinct_stabilizer_count(P: PermutationGroup, p: int) -> int:
-    """Distinct point stabilizers of an elementary abelian P whose orbits
-    all have length p.
-
-    P being abelian, points of one orbit share their stabilizer, and the
-    stabilizer is the kernel of the shift homomorphism P -> C_p on that
-    orbit; kernels coincide exactly when the generator-shift vectors are
-    proportional, so projective normalization counts them.
-    """
-    gens = P.generators
-    kernels = set()
-    for orbit in P.orbits():
-        pts = [int(x) for x in orbit]
-        if len(pts) == 1:
-            continue  # full fix: stabilizer is P itself, shift vector zero
-        x0 = pts[0]
-        mover = next(g for g in gens if g(x0) != x0)
-        label = {x0: 0}
-        x = x0
-        for i in range(1, len(pts)):
-            x = mover(x)
-            label[x] = i
-        vec = tuple(label[g(x0)] for g in gens)
-        first = next(v for v in vec if v)
-        scale = pow(first, p - 2, p)
-        kernels.add(tuple((scale * v) % p for v in vec))
-    full_fix = sum(1 for orbit in P.orbits() if len(orbit) == 1)
-    return len(kernels) + (1 if full_fix else 0)
-
-
-def _sylow_derangement(P: PermutationGroup, action: TwoOrbitAction) -> Perm | None:
-    """Lexicographically least derangement of the whole domain inside P."""
-    rows = P.element_rows()
-    rows = rows[~fixes_any(rows, action.omega)]
-    return Perm(lex_sorted(rows)[0], validate=False) if rows.size else None
 
 
 # ---------------------------------------------------------------------------

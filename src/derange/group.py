@@ -319,12 +319,6 @@ class PermutationGroup:
 
         yield from rec(0, None)
 
-    def elements(self):
-        """Iterate every element as a Perm, deterministic order."""
-        for block in self.element_blocks():
-            for row in block:
-                yield Perm(row, validate=False)
-
     def element_rows(self, cap: int | None = None) -> np.ndarray:
         """All elements as one row array; raises ResourceCapExceeded over cap."""
         if cap is not None and self.order > cap:

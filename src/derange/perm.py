@@ -97,10 +97,6 @@ class Perm:
             k >>= 1
         return result
 
-    def conjugate(self, g: "Perm") -> "Perm":
-        """Return g^-1 * self * g."""
-        return g.inverse() * self * g
-
     def __call__(self, point: int) -> int:
         return int(self.images[point])
 
@@ -195,6 +191,12 @@ def fixes_any(rows: np.ndarray, points) -> np.ndarray:
     """mask[i] = row i fixes at least one of the given points."""
     pts = np.asarray(points, dtype=np.intp)
     return (rows[:, pts] == pts.astype(rows.dtype)).any(axis=1)
+
+
+def least_derangement(rows: np.ndarray, points) -> Perm | None:
+    """The lex-least row that fixes none of the points, or None."""
+    rows = rows[~fixes_any(rows, points)]
+    return Perm(lex_sorted(rows)[0], validate=False) if rows.size else None
 
 
 def lex_order(rows: np.ndarray) -> np.ndarray:

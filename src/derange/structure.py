@@ -192,7 +192,10 @@ def _nested(a: PermutationGroup, b: PermutationGroup) -> bool:
 # ---------------------------------------------------------------------------
 # Sylow subgroups
 
-def p_element_rows(group: PermutationGroup, p: int, cap: int = 10**7) -> np.ndarray:
+ENUM_CAP = 10**7
+
+
+def p_element_rows(group: PermutationGroup, p: int) -> np.ndarray:
     """All nonidentity elements of p-power order, largest order first.
 
     In Sym(degree) a p-power order is at most the largest power p^e not
@@ -200,8 +203,8 @@ def p_element_rows(group: PermutationGroup, p: int, cap: int = 10**7) -> np.ndar
     Only the kept rows get their orders computed, for a stable sort: rows
     of one order keep their enumeration order.
     """
-    if group.order > cap:
-        raise ResourceCapExceeded(f"order {group.order} over enumeration cap {cap}")
+    if group.order > ENUM_CAP:
+        raise ResourceCapExceeded(f"order {group.order} over enumeration cap {ENUM_CAP}")
     e = 0
     while p ** (e + 1) <= group.degree:
         e += 1
@@ -219,12 +222,15 @@ def p_element_rows(group: PermutationGroup, p: int, cap: int = 10**7) -> np.ndar
     return rows[np.argsort(-row_orders(rows), kind="stable")]
 
 
-def sylow_subgroup(group: PermutationGroup, p: int, cap: int = 10**7) -> PermutationGroup:
-    """One Sylow p-subgroup, grown by greedy normalizer extensions.
+def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
+    """One Sylow p-subgroup, grown inside normalizers.
 
-    While |P| is short of the full p-part there is a p-element outside P
-    that normalizes it with p-th power inside, so each round extends the
-    order by exactly a factor p and the loop cannot stall.
+    A p-element g outside a p-subgroup P that normalizes it gives the
+    larger p-group P<g>, and while |P| is short of the full p-part the
+    normalizer of P holds such an element, so the loop cannot stall.
+    Each round drops the pool rows already in P (the pool only shrinks,
+    as P only grows) and adjoins the first remaining row whose
+    conjugates of P's strong generators all lie in P.
     """
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
@@ -233,27 +239,16 @@ def sylow_subgroup(group: PermutationGroup, p: int, cap: int = 10**7) -> Permuta
     if target == 1:
         return _wrap(group.degree, b, name=f"Sylow_{p}")
     # big orders first so the chain grows in few steps
-    pool = p_element_rows(group, p, cap=cap)
+    pool = p_element_rows(group, p)
     while b.order < target:
-        inside = {row.tobytes() for block in _wrap(group.degree, b).element_blocks() for row in block}
-        progressed = False
-        for row in pool:
-            if row.tobytes() in inside:
-                continue
-            g = Perm(row, validate=False)
-            if (g ** p).key not in inside:
-                continue
-            conj = conjugate_rows(rows_of(b.strong_gens, group.degree), g)
-            if not b.contains_rows(conj).all():
-                continue
-            before = b.order
-            b.extend(g)
-            if b.order != before * p:
-                raise GroupError("extension step did not multiply the order by p")
-            progressed = True
+        pool = pool[~b.contains_rows(pool)]
+        gens = rows_of(b.strong_gens, group.degree)
+        g = next((row for row in pool if b.contains_rows(conjugate_rows(gens, row)).all()), None)
+        if g is None:
             break
-        if not progressed:
-            raise GroupError("no valid Sylow extension found; input was inconsistent")
+        b.extend(Perm(g, validate=False))
+    if b.order != target:
+        raise GroupError(f"grew a {p}-subgroup of order {b.order}, not the p-part {target}")
     return _wrap(group.degree, b, name=f"Sylow_{p}")
 
 

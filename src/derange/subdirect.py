@@ -21,6 +21,7 @@ from .perm import (
     Perm,
     conjugate_rows,
     fixes_any,
+    least_derangement,
     lex_order,
     lex_sorted,
     rows_of,
@@ -158,12 +159,6 @@ class QuotientModel:
                 [not fixes_any(self.coset_rows(p), pts).all() for p in range(self.order)]
             )
         return self._derangements
-
-    def coset_derangement(self, p: int) -> Perm | None:
-        """Lex-least derangement of the parent domain in coset p."""
-        rows = self.coset_rows(p)
-        rows = rows[~fixes_any(rows, np.arange(self.parent.degree))]
-        return Perm(lex_sorted(rows)[0], validate=False) if rows.size else None
 
 
 def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) -> QuotientModel:
@@ -398,9 +393,7 @@ def materialize_group(desc: SubdirectDescriptor) -> PermutationGroup:
     q1, q2 = desc.q1, desc.q2
     id1 = Perm.identity(q1.parent.degree)
     id2 = Perm.identity(q2.parent.degree)
-    gens = [_combine(id1, id2)]
-    for p in q1.generating_points():
-        gens.append(_combine(q1.reps[p], q2.reps[desc.point_map[p]]))
+    gens = [_combine(q1.reps[p], q2.reps[desc.point_map[p]]) for p in q1.generating_points()]
     gens.extend(_combine(n, id2) for n in q1.kernel.generators)
     gens.extend(_combine(id1, n) for n in q2.kernel.generators)
     G = PermutationGroup(q1.parent.degree + q2.parent.degree, gens)
@@ -426,8 +419,9 @@ def subdirect_derangement(desc: SubdirectDescriptor) -> Perm | None:
     if hits.size == 0:
         return None
     p = int(hits[0])
-    g1 = desc.q1.coset_derangement(p)
-    g2 = desc.q2.coset_derangement(int(desc.point_map[p]))
+    q1, q2 = desc.q1, desc.q2
+    g1 = least_derangement(q1.coset_rows(p), np.arange(q1.parent.degree))
+    g2 = least_derangement(q2.coset_rows(int(desc.point_map[p])), np.arange(q2.parent.degree))
     if g1 is None or g2 is None:
         raise GroupError(f"derangement bitmap marks coset {p} but it holds no derangement")
     return _combine(g1, g2)

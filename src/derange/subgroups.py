@@ -142,7 +142,7 @@ def subgroup_classes(
     (order, element indices).  Includes the trivial group and the parent."""
     et = table if table is not None else ElementTable.of(parent, cap)
     m = et.size
-    prime_power_orders = [o for o in np.unique(et.orders).tolist() if len(factorize(o)) == 1]
+    prime_power_orders = [o for o in sorted(set(et.orders.tolist())) if len(factorize(o)) == 1]
     pp_mask = np.isin(et.orders, prime_power_orders)
 
     classes: list[SubgroupClass] = []

@@ -2,7 +2,8 @@
 
 Everything here trades speed for obvious correctness: no conjugacy
 shortcuts, no lattice pruning, just exhaustive closure growth.  Also the
-class-sum count of non-derangements that the scan must match, the
+one-element helpers the tests share (a group's elements as ``Perm``s,
+conjugation, the derangement test), the class-sum count of non-derangements that the scan must match, the
 reference versions of the stabilizer chain, the normal closure, the
 normal-subgroup lattice, the quotient isomorphism search and its
 dedup pass that the library's faster ones must match output for output,
@@ -17,9 +18,24 @@ from pathlib import Path
 import numpy as np
 
 from derange.group import PermutationGroup, ResourceCapExceeded
-from derange.perm import Perm, lex_sorted, rows_of
+from derange.perm import Perm, fixes_any, lex_sorted, rows_of
 from derange.structure import conjugacy_classes, normal_closure
 from derange.subdirect import quotient_isomorphisms
+
+
+def elements(group) -> list[Perm]:
+    """Every element of the group as a Perm, in enumeration order."""
+    return [Perm(row, validate=False) for row in group.element_rows()]
+
+
+def conjugate(h: Perm, g: Perm) -> Perm:
+    """g^-1 * h * g."""
+    return g.inverse() * h * g
+
+
+def is_derangement(g: Perm, omega) -> bool:
+    """g fixes no point of omega."""
+    return not fixes_any(g.images[None, :], list(omega))[0]
 
 
 def class_sum_nonderangements(group, omega, class_cap: int = 10**6) -> int:
@@ -145,7 +161,7 @@ def reference_normal_closure(group, seeds) -> ReferenceBSGS:
     while queue:
         h = queue.pop()
         if b.extend(h):
-            queue.extend(h.conjugate(g) for g in group.generators)
+            queue.extend(conjugate(h, g) for g in group.generators)
     return b
 
 
@@ -186,7 +202,7 @@ def subgroup_scan(G):
     closure growth: adjoin one element at a time from the trivial group."""
     elems = [Perm(r, validate=False) for r in G.element_rows()]
     triv = PermutationGroup(G.degree, [])
-    tkey = frozenset(p.key for p in triv.elements())
+    tkey = frozenset(p.key for p in elements(triv))
     seen = {tkey: triv}
     frontier = [(triv, tkey)]
     while frontier:
@@ -196,7 +212,7 @@ def subgroup_scan(G):
                 if g.key in hkey:
                     continue
                 K = PermutationGroup(G.degree, H.generators + [g])
-                key = frozenset(p.key for p in K.elements())
+                key = frozenset(p.key for p in elements(K))
                 if key not in seen:
                     seen[key] = K
                     nxt.append((K, key))
@@ -208,9 +224,9 @@ def are_conjugate(G, H, K) -> bool:
     """True when H^y = K for some y in G, by scanning all of G."""
     if H.order != K.order:
         return False
-    want = frozenset(p.key for p in K.elements())
-    for y in G.elements():
-        if frozenset(h.conjugate(y).key for h in H.elements()) == want:
+    want = frozenset(p.key for p in elements(K))
+    for y in elements(G):
+        if frozenset(conjugate(h, y).key for h in elements(H)) == want:
             return True
     return False
 

@@ -73,21 +73,6 @@ class TestVerify:
         result = runner.invoke(derange, ["verify", "--degree", "2", "--seed", "5", "--json", "-"])
         assert json.loads(result.output)["seed"] == "5"
 
-    def test_env_seed_overrides_flag(self, runner):
-        result = runner.invoke(
-            derange,
-            ["verify", "--degree", "2", "--seed", "5", "--json", "-"],
-            env={"DERANGE_SEED": "9"},
-        )
-        assert json.loads(result.output)["seed"] == "9"
-
-    def test_bad_env_seed(self, runner):
-        result = runner.invoke(
-            derange, ["verify", "--degree", "2"], env={"DERANGE_SEED": "many"}
-        )
-        assert result.exit_code == 2
-        assert "DERANGE_SEED" in result.stderr
-
     def test_max_order_gives_partial_exit(self, runner):
         result = runner.invoke(
             derange, ["verify", "--degree", "4", "--max-order", "5", "--json", "-"]

@@ -8,6 +8,7 @@ from derange.perm import (
     conjugate_rows,
     fixes_any,
     invert_rows,
+    least_derangement,
     lex_sorted,
     row_keys,
     rows_of,
@@ -111,12 +112,20 @@ def test_conjugate():
         n = int(rng.integers(2, 10))
         a = Perm(rng.permutation(n))
         g = Perm(rng.permutation(n))
-        c = a.conjugate(g)
+        c = Perm(conjugate_rows(a.images[None, :], g)[0])
         assert c.key == (g.inverse() * a * g).key
         def lengths(p):
             return sorted(len(cyc) for cyc in p.cycles(singletons=True))
 
         assert lengths(c) == lengths(a)
+
+
+def test_least_derangement():
+    rows = np.array([[1, 0, 3, 2], [1, 0, 2, 3], [3, 2, 1, 0], [0, 2, 3, 1]], dtype=np.uint8)
+    assert least_derangement(rows, range(4)).images.tolist() == [1, 0, 3, 2]
+    assert least_derangement(rows, [2, 3]).images.tolist() == [0, 2, 3, 1]
+    # every row fixes a point of the set
+    assert least_derangement(rows[[1, 3]], range(4)) is None
 
 
 def test_fixed_and_moved_points():
@@ -155,7 +164,7 @@ def test_row_helpers_match_perm_ops():
     for i, p in enumerate(perms):
         assert list(after[i]) == (p * g).images.tolist()
         assert list(inv[i]) == p.inverse().images.tolist()
-        assert list(conj[i]) == p.conjugate(g).images.tolist()
+        assert list(conj[i]) == (g_inv * p * g).images.tolist()
 
 
 def test_rows_fix_any():

@@ -1,16 +1,27 @@
-"""Every module-level private function or class in the package is used.
+"""Every function, class and method in the package is used outside tests.
 
-A small AST check in the style of ``test_imports.py``: a name bound at
+Small AST checks in the style of ``test_imports.py``.  A name bound at
 module level by ``def _name`` or ``class _Name`` under ``src/derange/``
 must be referenced somewhere in ``src/`` outside its own definition, so
-a helper that a refactor leaves behind is caught.
+a helper that a refactor leaves behind is caught.  A public module-level
+function or class, and a public method, must be referenced outside its
+own definition from ``src/`` (bar the re-exports in ``__init__.py``),
+``perfbench/`` or ``tools/``, so API that only tests call is caught too;
+click commands are exempt, since click calls them.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
+CALLERS = sorted(
+    path
+    for folder in ("src", "perfbench", "tools")
+    for path in (ROOT / folder).rglob("*.py")
+    if path.name != "__init__.py"
+)
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -21,18 +32,23 @@ def _private_defs(tree: ast.Module) -> list[ast.stmt]:
     ]
 
 
+def _name_counts(node) -> Counter:
+    """How often each name is read, taken as an attribute or imported
+    under the node."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
 def _referenced(nodes) -> set[str]:
     """Names read, attributes taken and names imported under the nodes."""
-    out = set()
-    for top in nodes:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                out.update(alias.name for alias in node.names)
-    return out
+    return {name for top in nodes for name in _name_counts(top)}
 
 
 def unreferenced_private(sources: dict[str, str]) -> list[tuple[str, int, str]]:
@@ -59,3 +75,62 @@ def test_checker_flags_an_unreferenced_helper():
 def test_no_unreferenced_private_helpers():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
     assert unreferenced_private(sources) == []
+
+
+def _public_defs(tree: ast.Module) -> list[ast.stmt]:
+    """Public module-level functions and classes, and public methods,
+    bar click commands."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, _DEFS) and not node.name.startswith("_") and not _is_click_command(node):
+            out.append(node)
+        if isinstance(node, ast.ClassDef):
+            out.extend(
+                item for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            )
+    return out
+
+
+def _is_click_command(node: ast.stmt) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in getattr(node, "decorator_list", [])
+    )
+
+
+def uncalled_public(package: dict[str, str], callers: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each public definition in the package
+    modules that the caller modules never reference outside the
+    definition itself."""
+    total = Counter()
+    for text in callers.values():
+        total += _name_counts(ast.parse(text))
+    found = []
+    for module, text in package.items():
+        for node in _public_defs(ast.parse(text)):
+            own = _name_counts(node)[node.name] if module in callers else 0
+            if total[node.name] <= own:
+                found.append((module, node.lineno, node.name))
+    return found
+
+
+def test_checker_flags_an_uncalled_public_name():
+    package = {
+        "a": (
+            "class Used:\n    def run(self):\n        pass\n    def spare(self):\n"
+            "        return self.spare()\n"
+            "def lost():\n    pass\n"
+            "@cli.command('go')\ndef go_cmd():\n    pass\n"
+        ),
+    }
+    callers = dict(package, b="from a import Used\nUsed().run()\n")
+    assert uncalled_public(package, callers) == [("a", 4, "spare"), ("a", 6, "lost")]
+
+
+def test_public_names_have_callers_outside_tests():
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    callers = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
+    assert uncalled_public(package, callers) == []

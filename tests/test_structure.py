@@ -15,7 +15,7 @@ from derange.structure import (
     p_part,
     sylow_subgroup,
 )
-from oracles import reference_normal_subgroups
+from oracles import conjugate, elements, reference_normal_subgroups
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
@@ -40,13 +40,13 @@ def stock(name):
 
 def brute_classes(group):
     """Pairwise conjugation over the listed elements."""
-    els = list(group.elements())
+    els = elements(group)
     left = {e.key: e for e in els}
     out = []
     while left:
         k = min(left)
         e = left[k]
-        cls = {e.conjugate(g).key for g in els}
+        cls = {conjugate(e, g).key for g in els}
         out.append((k, len(cls)))
         for c in cls:
             del left[c]
@@ -106,7 +106,7 @@ def test_over_cap_raises_before_any_orbit_search(monkeypatch):
 
 def test_centralizer_order_matches_brute_force():
     g = stock("S4")
-    els = list(g.elements())
+    els = elements(g)
     table = conjugacy_classes(g)
     for cls in table:
         cent = sum(1 for x in els if (x * cls.rep) == (cls.rep * x))
@@ -117,7 +117,7 @@ def test_class_orbit_rows_is_whole_class():
     g = stock("S3xS3")
     rep = Perm.from_cycles(6, (0, 1, 2))
     rows = class_orbit_rows(g, rep)
-    brute = {x.conjugate(c).key for c in g.elements() for x in [rep]}
+    brute = {conjugate(x, c).key for c in elements(g) for x in [rep]}
     assert {r.tobytes() for r in rows} == brute
 
 
@@ -133,14 +133,14 @@ def test_normal_closure_examples():
     assert normal_closure(s4, [Perm.from_cycles(4, (0, 1))]).order == 24
     # closure is invariant under conjugation by each generator
     for gen in s4.generators:
-        assert all(h.conjugate(gen) in v4 for h in v4.elements())
+        assert all(conjugate(h, gen) in v4 for h in elements(v4))
 
 
 def brute_normal_subgroups(group):
     """All subsets closed as subgroups and under conjugation; order list."""
     from itertools import combinations
 
-    els = list(group.elements())
+    els = elements(group)
     keys = {e.key for e in els}
     orders = []
     # enumerate subgroups as subsets generated by at most 3 elements; for
@@ -150,11 +150,11 @@ def brute_normal_subgroups(group):
     cands += [list(p) for p in combinations(els, 2)]
     for gens in cands:
         h = PermutationGroup(group.degree, gens)
-        hk = frozenset(e.key for e in h.elements())
+        hk = frozenset(e.key for e in elements(h))
         if hk in seen:
             continue
         seen.add(hk)
-        normal = all(x.conjugate(g).key in hk for x in h.elements() for g in group.generators)
+        normal = all(conjugate(x, g).key in hk for x in elements(h) for g in group.generators)
         if normal:
             orders.append(len(hk))
     return sorted(orders)
@@ -169,7 +169,7 @@ def test_normal_subgroups_match_brute_force(name):
         assert h.is_subgroup_of(g)
         for x in h.generators:
             for gen in g.generators:
-                assert x.conjugate(gen) in h
+                assert conjugate(x, gen) in h
     got = sorted(h.order for h in norms)
     want = brute_normal_subgroups(g)
     # brute force only sees 2-generated subgroups; every normal subgroup
@@ -231,7 +231,7 @@ def sylow_is_valid(group, p):
     assert syl.order == p_part(group.order, p)
     assert syl.is_subgroup_of(group)
     # p-group check: every element order is a power of p
-    for e in syl.elements():
+    for e in elements(syl):
         assert p**e.order % e.order == 0
     return syl
 
@@ -256,6 +256,15 @@ def test_sylow_trivial_when_p_does_not_divide():
     g = stock("S4")
     syl = sylow_subgroup(g, 5)
     assert syl.order == 1
+
+
+def test_sylow_grows_by_the_largest_p_element_first():
+    # the pool puts the six 9-cycles first, and a 9-cycle normalizes
+    # the trivial group, so one step reaches all of C9
+    c9 = PermutationGroup(9, [Perm.from_cycles(9, tuple(range(9)))])
+    syl = sylow_is_valid(c9, 3)
+    assert syl.order == 9
+    assert len(syl.generators) == 1
 
 
 def test_sylow_large_degree():

@@ -5,13 +5,17 @@ from class sizes via normalizer orders) are long-established values, so
 they pin both the completeness and the conjugacy dedup at once.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from derange.group import GroupError, PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm
 from derange.subgroups import ElementTable, subgroup_classes
-from oracles import closure_rows
+from oracles import SRC, closure_rows, conjugate, elements
 
 
 def cycle_lengths(p):
@@ -125,7 +129,7 @@ class TestSubgroupClasses:
             H = PermutationGroup(4, gens)
             assert H.order == c.order
             got = {Perm(et.rows[i], validate=False).key for i in c.indices}
-            want = {p.key for p in H.elements()}
+            want = {p.key for p in elements(H)}
             assert got == want
 
     def test_pairwise_nonconjugate(self):
@@ -133,14 +137,14 @@ class TestSubgroupClasses:
         et = ElementTable.of(Sn)
         cls = subgroup_classes(Sn, et)
         groups = [{Perm(et.rows[i], validate=False).key for i in c.indices} for c in cls]
-        elems = list(Sn.elements())
+        elems = elements(Sn)
         for i in range(len(cls)):
             for j in range(i + 1, len(cls)):
                 if cls[i].order != cls[j].order:
                     continue
                 Hi = [Perm(et.rows[k], validate=False) for k in cls[i].indices]
                 for y in elems:
-                    conj = {h.conjugate(y).key for h in Hi}
+                    conj = {conjugate(h, y).key for h in Hi}
                     assert conj != groups[j]
 
     def test_transitive_counts(self):
@@ -188,3 +192,18 @@ class TestProductScan:
             if p1.order == 12 and p2.order == 2:
                 hits.append(c.order)
         assert hits == [24]
+
+
+def test_enumeration_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, about 1.6 MB of
+    # resident memory that enumeration does not need
+    code = (
+        "import sys; from derange.corpus import enumerate_transitive; "
+        "enumerate_transitive(5); print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

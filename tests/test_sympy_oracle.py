@@ -6,6 +6,7 @@ and Sylow algorithms), used only here; it is not a runtime dependency.
 
 import random
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -17,9 +18,15 @@ st = hypothesis.strategies
 
 from derange import Perm, PermutationGroup  # noqa: E402
 from derange._kernels import row_orders  # noqa: E402
-from derange.derangements import count_nonderangements  # noqa: E402
+from derange.corpus import enumerate_transitive  # noqa: E402
+from derange.derangements import (  # noqa: E402
+    TwoOrbitAction,
+    count_nonderangements,
+    sylow_certificate,
+)
 from derange.group import factorize  # noqa: E402
 from derange.structure import conjugacy_classes, normal_subgroups, sylow_subgroup  # noqa: E402
+from derange.subdirect import goursat_enumerate, materialize_group  # noqa: E402
 from derange.subgroups import ElementTable  # noqa: E402
 
 
@@ -100,3 +107,26 @@ def test_chain_and_normal_subgroups_match_sympy(case):
             )
             assert sub.order() == h.order
             assert sub.is_normal(theirs)
+
+
+def test_sylow_stabilizer_counts_match_sympy():
+    # the degree-6 two-orbit sweep of c08: every subdirect product of a
+    # pair of imprimitive degree-6 groups with |G1 x G2| <= 1e5, at p = 3
+    groups = [e.group for e in enumerate_transitive(6).entries if e.group.minimal_block_systems()]
+    normals = [normal_subgroups(g) for g in groups]
+    checked = 0
+    for i, j in combinations_with_replacement(range(len(groups)), 2):
+        if groups[i].order * groups[j].order > 10**5:
+            continue
+        for desc in goursat_enumerate(groups[i], groups[j], normals1=normals[i], normals2=normals[j]):
+            H = materialize_group(desc)
+            P = sylow_subgroup(H, 3)
+            cert = sylow_certificate(TwoOrbitAction.of(H), 3, sylow=P)
+            theirs = combinatorics.PermutationGroup([_sympy_perm(H.degree, g.images) for g in P.generators])
+            stabs = {
+                frozenset(tuple(g.array_form) for g in theirs.stabilizer(x).elements)
+                for x in range(H.degree)
+            }
+            assert cert.stabilizer_count == len(stabs)
+            checked += 1
+    assert checked >= 400
