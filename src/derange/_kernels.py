@@ -1,10 +1,13 @@
-"""Exhaustive numpy scans behind the cover toolkit and the row helpers.
+"""Numpy scans behind the cover toolkit and the row helpers.
 
-Each scan is exact integer work over fixed-width arrays: vector counts
-over GF(q)^d visited in chunks of _CHUNK vectors, and fixed-point and
-element-order scans over (m, degree) permutation rows.  The four scans
-are bound by the layer tracer in ``perfbench/spans.py``; decode_vectors
-is the one base-q decoder, shared with ``gf.FieldSpec.vector_space``.
+Each scan is exact integer work over fixed-width arrays, visited in
+chunks of _CHUNK rows: vectors over GF(q)^d, and fixed-point and
+element-order scans over (m, degree) permutation rows.  Only
+good_count_scan, the oracle for the closed-form count, visits all q^d
+vectors; cover_all_scan first changes basis with gauss_jordan, the one
+elimination over GF(q), and visits (q-1)^r of them.  The four scans are
+bound by the layer tracer in ``perfbench/spans.py``; decode_vectors is
+the one base-q decoder, shared with ``gf.FieldSpec.vector_space``.
 """
 
 import numpy as np
@@ -25,6 +28,38 @@ def decode_vectors(start: int, stop: int, q: int, d: int) -> np.ndarray:
     return out
 
 
+def gauss_jordan(field, matrix) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a 2-D matrix over GF(q), with its
+    pivot columns.
+
+    The pivot columns are the first columns independent of the ones
+    before them, so their number is the rank.  Column j of the result
+    holds, in its first len(pivots) rows, the coordinates of input
+    column j in the basis of the pivot columns; the rows below are zero.
+    The matrices are small, so the row operations run on Python lists.
+    """
+    add, mul, neg, inv = (t.tolist() for t in (field.add, field.mul, field.neg, field.inv))
+    shape = np.shape(matrix)
+    m = np.asarray(matrix, dtype=np.int64).tolist()
+    pivots: list[int] = []
+    for col in range(shape[1]):
+        r = len(pivots)
+        below = [i for i in range(r, shape[0]) if m[i][col]]
+        if not below:
+            continue
+        m[r], m[below[0]] = m[below[0]], m[r]
+        scale = mul[inv[m[r][col]]]
+        m[r] = [scale[x] for x in m[r]]
+        for i in range(shape[0]):
+            if i != r and m[i][col]:
+                minus_f = mul[neg[m[i][col]]]
+                m[i] = [add[x][minus_f[y]] for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        if len(pivots) == shape[0]:
+            break
+    return np.array(m, dtype=np.int64).reshape(shape), pivots
+
+
 def good_count_scan(field, d: int, normal) -> int:
     """Vectors v with a.v = 0 and every coordinate nonzero, counted by an
     exhaustive scan over all q^d vectors; the dumb oracle."""
@@ -39,15 +74,28 @@ def good_count_scan(field, d: int, normal) -> int:
 
 
 def cover_all_scan(field, d: int, normals) -> bool:
-    """Does every vector of GF(q)^d lie on one of the listed hyperplanes?"""
+    """Does every vector of GF(q)^d lie on one of the listed hyperplanes?
+
+    The pivot normals a_1..a_r give new coordinates w_i = a_i.v, and
+    v -> w maps GF(q)^d onto GF(q)^r.  Every other normal is c.a for its
+    coordinate row c, so v is off every plane exactly when w has no zero
+    coordinate and every c.w is nonzero: only the (q-1)^r vectors w in
+    {1..q-1}^r are scanned, against the s - r coordinate rows.
+    """
     normals = np.asarray(normals, dtype=np.int64)
     if normals.ndim != 2 or normals.shape[0] == 0:
         return field.q**d <= 1
-    q = field.q
-    total = q**d
+    if not normals.any(axis=1).all():
+        return True  # a zero normal vanishes everywhere, and only zero normals give r = 0
+    reduced, pivots = gauss_jordan(field, normals.T)
+    r = len(pivots)
+    coords = np.delete(reduced[:r], pivots, axis=1).T
+    if not len(coords):
+        return False  # w = (1, ..., 1) is off every pivot plane
+    total = (field.q - 1) ** r
     for start in range(0, total, _CHUNK):
-        vecs = decode_vectors(start, min(start + _CHUNK, total), q, d)
-        if not (field.dot(normals[None, :, :], vecs[:, None, :]) == 0).any(axis=1).all():
+        w = decode_vectors(start, min(start + _CHUNK, total), field.q - 1, r) + 1
+        if not (field.dot(coords[None, :, :], w[:, None, :]) == 0).any(axis=1).all():
             return False
     return True
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .derangements import PndrValue, pndr
-from .group import GroupError, PermutationGroup
+from .group import ENUM_CAP, GroupError, PermutationGroup
 from .perm import MAX_DEGREE, Perm
 from .subgroups import ElementTable, subgroup_classes
 
@@ -163,7 +163,7 @@ def save_corpus(corpus: GroupCorpus, out_dir) -> list[Path]:
     return written
 
 
-def imprimitive_filter(corpus: GroupCorpus, enum_cap: int = 10**7) -> GroupCorpus:
+def imprimitive_filter(corpus: GroupCorpus, enum_cap: int = ENUM_CAP) -> GroupCorpus:
     """Corpus restricted to entries with a nontrivial block system.
 
     Primitivity flags are filled in on the input entries as a side

@@ -4,18 +4,20 @@ Counts the fully-nonzero vectors on a hyperplane (exact closed form
 plus a dumb exhaustive oracle), checks the two cover conditions (union
 is everything, intersection is zero), searches for minimum covers and
 builds the coordinate-plus-pencil cover of size d+q-1 that meets the
-lower bound.
+lower bound.  Both conditions come from one elimination over GF(q)
+(``_kernels.gauss_jordan``): the intersection is zero when the normals
+have rank d, and the union is decided by a scan of the (q-1)^r vectors
+whose coordinates in the pivot normals are all nonzero.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import cover_all_scan, good_count_scan
+from ._kernels import cover_all_scan, gauss_jordan, good_count_scan
 from .gf import FieldError, FieldSpec, factor_prime_power
-from .group import ResourceCapExceeded
+from .group import ENUM_CAP, ResourceCapExceeded
 
-EXHAUSTION_CAP = 10**7
 SEARCH_BUDGET = 10**6
 
 
@@ -89,7 +91,8 @@ class CoverInstance:
     trivial_intersection: bool | None = None
 
     def normal_rows(self) -> np.ndarray:
-        return np.array([h.normal for h in self.hyperplanes], dtype=np.int64)
+        rows = [h.normal for h in self.hyperplanes]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self.d)
 
 
 def make_cover(q: int, d: int, normals) -> CoverInstance:
@@ -105,35 +108,11 @@ def make_cover(q: int, d: int, normals) -> CoverInstance:
 
 
 def rank_over_field(field: FieldSpec, rows: np.ndarray) -> int:
-    """Row rank by Gaussian elimination with table arithmetic."""
-    m = [list(map(int, r)) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = int(field.inv[m[rank][col]])
-        m[rank] = [int(field.mul[inv, x]) for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [
-                    int(field.add[x, field.neg[field.mul[f, y]]])
-                    for x, y in zip(m[r], m[rank])
-                ]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Row rank: the number of pivot columns of the rows taken as columns."""
+    return len(gauss_jordan(field, np.asarray(rows).T)[1])
 
 
-def check_cover(cover: CoverInstance, cap: int = EXHAUSTION_CAP) -> tuple[bool, bool, bool]:
+def check_cover(cover: CoverInstance, cap: int = ENUM_CAP) -> tuple[bool, bool, bool]:
     """(covers_all, trivial_intersection, bound_ok); sets the instance flags.
 
     bound_ok is vacuously true unless both conditions hold, in which case
@@ -144,7 +123,7 @@ def check_cover(cover: CoverInstance, cap: int = EXHAUSTION_CAP) -> tuple[bool, 
         raise ResourceCapExceeded(f"q^d = {q**d} exceeds exhaustion cap {cap}")
     rows = cover.normal_rows()
     covers_all = cover_all_scan(cover.field, d, rows)
-    trivial = rank_over_field(cover.field, rows) == d if len(rows) else d == 0
+    trivial = rank_over_field(cover.field, rows) == d
     cover.covers_all = covers_all
     cover.trivial_intersection = trivial
     bound_ok = True
@@ -154,7 +133,7 @@ def check_cover(cover: CoverInstance, cap: int = EXHAUSTION_CAP) -> tuple[bool, 
 
 
 def good_count_bruteforce(
-    a: Hyperplane, field: FieldSpec, d: int | None = None, cap: int = EXHAUSTION_CAP
+    a: Hyperplane, field: FieldSpec, d: int | None = None, cap: int = ENUM_CAP
 ) -> int:
     """Exact count by scanning all q^d vectors; oracle for the formula."""
     if d is None:
@@ -167,7 +146,7 @@ def good_count_bruteforce(
 
 
 def min_cover_search(
-    q: int, d: int, budget: int = SEARCH_BUDGET, cap: int = EXHAUSTION_CAP
+    q: int, d: int, budget: int = SEARCH_BUDGET, cap: int = ENUM_CAP
 ) -> tuple[int, CoverInstance]:
     """Smallest set meeting both cover conditions, first witness in
     (size, lex) order.  Subsets below rank d are pruned before scanning.

@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import fix_any_count
-from .group import GroupError, PermutationGroup, ResourceCapExceeded, factorize
-from .perm import Perm, fixes_any, least_derangement
+from .group import ENUM_CAP, GroupError, PermutationGroup, ResourceCapExceeded, factorize
+from .perm import Perm, fixed_points, fixes_any, least_derangement
 from .structure import is_prime, sylow_subgroup
 
 
@@ -34,7 +34,7 @@ def _omega_array(group: PermutationGroup, omega) -> np.ndarray:
     return pts
 
 
-def count_nonderangements(group: PermutationGroup, omega, enum_cap: int = 10**7) -> int:
+def count_nonderangements(group: PermutationGroup, omega, enum_cap: int = ENUM_CAP) -> int:
     """|{g : g fixes a point of omega}| exactly, by scanning every element.
 
     omega need not be invariant.  The elements stream in row blocks, so
@@ -64,7 +64,7 @@ class PndrValue:
         return Fraction(self.numerator, self.denominator)
 
 
-def pndr(group: PermutationGroup, omega, enum_cap: int = 10**7) -> PndrValue:
+def pndr(group: PermutationGroup, omega, enum_cap: int = ENUM_CAP) -> PndrValue:
     return PndrValue(count_nonderangements(group, omega, enum_cap), group.order)
 
 
@@ -79,7 +79,7 @@ def find_derangement_detailed(
     omega,
     seed: int = 0,
     budget: int = 10**4,
-    enum_cap: int = 10**7,
+    enum_cap: int = ENUM_CAP,
 ) -> tuple[Perm | None, str]:
     """(witness or None, method); None is an exhaustively verified absence.
 
@@ -199,8 +199,8 @@ def sylow_certificate(
     if not elementary:
         raise CertificateError("Sylow subgroup is not elementary abelian")
     rows = P.element_rows()
-    # the stabilizer of x is the set of P's elements that fix x
-    stab_count = len({fixes_any(rows, [x]).tobytes() for x in range(P.degree)})
+    # the stabilizer of x is the set of P's elements that fix x: column x
+    stab_count = len({col.tobytes() for col in fixed_points(rows, range(P.degree)).T})
     if stab_count > 2 * b:
         raise CertificateError(
             f"{stab_count} distinct point stabilizers exceeds 2b = {2*b}"

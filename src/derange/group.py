@@ -24,6 +24,11 @@ class ResourceCapExceeded(RuntimeError):
     """A computation would exceed a configured cap; result withheld."""
 
 
+# the most elements (group elements or field vectors) any exhaustive
+# scan lists, unless a caller passes its own cap
+ENUM_CAP = 10**7
+
+
 class _Level(NamedTuple):
     """One level of the chain: the rows of the strong generators fixing
     the base points before it, in order; the orbit of its base point,

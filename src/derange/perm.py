@@ -187,10 +187,15 @@ def conjugate_rows(rows: np.ndarray, g, g_inv=None) -> np.ndarray:
     return g[rows[:, g_inv]]
 
 
+def fixed_points(rows: np.ndarray, points) -> np.ndarray:
+    """mask[i, j] = row i fixes the j-th of the given points."""
+    pts = np.asarray(points, dtype=np.intp)
+    return rows[:, pts] == pts.astype(rows.dtype)
+
+
 def fixes_any(rows: np.ndarray, points) -> np.ndarray:
     """mask[i] = row i fixes at least one of the given points."""
-    pts = np.asarray(points, dtype=np.intp)
-    return (rows[:, pts] == pts.astype(rows.dtype)).any(axis=1)
+    return fixed_points(rows, points).any(axis=1)
 
 
 def least_derangement(rows: np.ndarray, points) -> Perm | None:

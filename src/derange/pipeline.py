@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .corpus import GroupCorpus, enumerate_transitive, imprimitive_filter
 from .derangements import count_nonderangements, pndr_pair_bound
-from .group import GroupError, ResourceCapExceeded
+from .group import ENUM_CAP, GroupError, ResourceCapExceeded
 from .structure import normal_subgroups
 from .subdirect import (
     ISO_CAP,
@@ -25,7 +25,6 @@ from .subdirect import (
     subdirect_derangement,
 )
 
-ENUM_CAP = 10**7
 CLASS_CAP = 10**6
 
 

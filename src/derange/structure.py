@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import row_orders
-from .group import BSGS, GroupError, PermutationGroup, ResourceCapExceeded, factorize
+from .group import BSGS, ENUM_CAP, GroupError, PermutationGroup, ResourceCapExceeded, factorize
 from .perm import Perm, conjugate_rows, lex_sorted, rows_of
 
 
@@ -192,8 +192,6 @@ def _nested(a: PermutationGroup, b: PermutationGroup) -> bool:
 # ---------------------------------------------------------------------------
 # Sylow subgroups
 
-ENUM_CAP = 10**7
-
 
 def p_element_rows(group: PermutationGroup, p: int) -> np.ndarray:
     """All nonidentity elements of p-power order, largest order first.
@@ -211,11 +209,12 @@ def p_element_rows(group: PermutationGroup, p: int) -> np.ndarray:
     ident = np.arange(group.degree, dtype=np.uint8)
     keep = [np.empty((0, group.degree), dtype=np.uint8)]
     for block in group.element_blocks():
-        power = block
+        row_start = (np.arange(len(block), dtype=np.intp) * group.degree)[:, None]
+        power = block  # raised to the p-th power e times, by one flat gather per step
         for _ in range(e):
-            step = power
+            step = power + row_start
             for _ in range(p - 1):
-                power = np.take_along_axis(power, step, axis=1)
+                power = power.ravel()[step]
         hit = (power == ident).all(axis=1) & (block != ident).any(axis=1)
         keep.append(block[hit])
     rows = np.concatenate(keep, axis=0)

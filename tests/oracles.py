@@ -7,7 +7,8 @@ conjugation, the derangement test), the class-sum count of non-derangements that
 reference versions of the stabilizer chain, the normal closure, the
 normal-subgroup lattice, the quotient isomorphism search and its
 dedup pass that the library's faster ones must match output for output,
-and the one recipe for launching the ``derange`` CLI in a separate
+the scan of all q^d vectors behind the two hyperplane-cover flags, and
+the one recipe for launching the ``derange`` CLI in a separate
 process.
 """
 
@@ -376,6 +377,22 @@ def reference_dedup_isomorphisms(q1, q2):
             seen.add(key)
             keep.append(iso)
     return keep
+
+
+def full_cover_scan(field, d: int, normals) -> tuple[bool, bool]:
+    """(covers_all, trivial_intersection) for hyperplane normals over
+    GF(q)^d, zero rows allowed, by evaluating every normal on every one
+    of the q^d vectors: each vector lies on some plane, and only the
+    zero vector lies on all of them."""
+    normals = np.asarray(normals, dtype=np.int64).reshape(-1, d)
+    values = np.arange(field.q)
+    on = np.empty((len(normals), field.q**d), dtype=bool)
+    for i, normal in enumerate(normals):
+        dots = np.zeros(1, dtype=np.int64)  # a.v for every v, one coordinate at a time
+        for a in normal:
+            dots = field.add[dots[:, None], field.mul[a, values][None, :]].ravel()
+        on[i] = dots == 0
+    return bool(on.any(axis=0).all()), int(on.all(axis=0).sum()) == 1
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -19,6 +19,7 @@ from derange.cover import (
     tight_cover_construct,
 )
 from derange.gf import FieldError, FieldSpec
+from oracles import full_cover_scan
 
 
 def test_formula_examples():
@@ -163,6 +164,42 @@ def test_min_cover_is_tight(q, d):
     built = tight_cover_construct(q, d)
     assert len(built.hyperplanes) == size
     assert check_cover(built) == (True, True, True)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_check_cover_matches_full_scan_on_tight_covers(q):
+    """Every tight cover with q^d <= 10^5, and each of them with one
+    plane dropped."""
+    d = 2
+    while q**d <= 10**5:
+        built = tight_cover_construct(q, d)
+        for drop in [None, *range(len(built.hyperplanes))]:
+            kept = [h for i, h in enumerate(built.hyperplanes) if i != drop]
+            cover = CoverInstance(built.field, d, kept)
+            flags = check_cover(cover)
+            assert flags[:2] == full_cover_scan(built.field, d, cover.normal_rows()), (d, drop)
+            if drop is None:
+                assert flags == (True, True, True)
+        d += 1
+
+
+# the first minimum cover in (size, lex) order of each search the
+# benchmark's cover part runs
+FIRST_MIN_COVERS = {
+    (2, 2): [(0, 1), (1, 0), (1, 1)],
+    (2, 3): [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)],
+    (3, 2): [(0, 1), (1, 0), (1, 1), (1, 2)],
+    (2, 4): [(0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0)],
+    (3, 3): [(0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 0, 0)],
+    (4, 2): [(0, 1), (1, 0), (1, 1), (1, 2), (1, 3)],
+}
+
+
+@pytest.mark.parametrize("q,d", sorted(FIRST_MIN_COVERS))
+def test_min_cover_search_first_witness(q, d):
+    size, found = min_cover_search(q, d)
+    assert size == len(found.hyperplanes)
+    assert [h.normal for h in found.hyperplanes] == FIRST_MIN_COVERS[q, d]
 
 
 def test_every_valid_cover_respects_bound():
