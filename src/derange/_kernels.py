@@ -5,13 +5,15 @@ chunks of _CHUNK rows: vectors over GF(q)^d, and fixed-point and
 element-order scans over (m, degree) permutation rows.  Only
 good_count_scan, the oracle for the closed-form count, visits all q^d
 vectors; cover_all_scan first changes basis with gauss_jordan, the one
-elimination over GF(q), and visits (q-1)^r of them.  The four scans are
+elimination over GF(q), which also gives the rank, and visits (q-1)^r
+of them, raising ResourceCapExceeded over ENUM_CAP.  The four scans are
 bound by the layer tracer in ``perfbench/spans.py``; decode_vectors is
 the one base-q decoder, shared with ``gf.FieldSpec.vector_space``.
 """
 
 import numpy as np
 
+from .group import ENUM_CAP, ResourceCapExceeded
 from .perm import fixes_any
 
 _CHUNK = 1 << 14
@@ -73,31 +75,33 @@ def good_count_scan(field, d: int, normal) -> int:
     return count
 
 
-def cover_all_scan(field, d: int, normals) -> bool:
-    """Does every vector of GF(q)^d lie on one of the listed hyperplanes?
+def cover_all_scan(field, d: int, normals) -> tuple[bool, int]:
+    """(covers_all, rank) of an (s, d) array of hyperplane normals: does
+    every vector of GF(q)^d lie on one of the planes, and what rank do
+    the normals have?  Both come from one elimination.
 
     The pivot normals a_1..a_r give new coordinates w_i = a_i.v, and
     v -> w maps GF(q)^d onto GF(q)^r.  Every other normal is c.a for its
     coordinate row c, so v is off every plane exactly when w has no zero
     coordinate and every c.w is nonzero: only the (q-1)^r vectors w in
-    {1..q-1}^r are scanned, against the s - r coordinate rows.
+    {1..q-1}^r are scanned, against the s - r coordinate rows, and over
+    ENUM_CAP of them raise ResourceCapExceeded.
     """
-    normals = np.asarray(normals, dtype=np.int64)
-    if normals.ndim != 2 or normals.shape[0] == 0:
-        return field.q**d <= 1
-    if not normals.any(axis=1).all():
-        return True  # a zero normal vanishes everywhere, and only zero normals give r = 0
-    reduced, pivots = gauss_jordan(field, normals.T)
+    reduced, pivots = gauss_jordan(field, np.asarray(normals, dtype=np.int64).T)
     r = len(pivots)
+    total = (field.q - 1) ** r
+    if total > ENUM_CAP:
+        raise ResourceCapExceeded(f"(q-1)^r = {total} exceeds enumeration cap {ENUM_CAP}")
     coords = np.delete(reduced[:r], pivots, axis=1).T
     if not len(coords):
-        return False  # w = (1, ..., 1) is off every pivot plane
-    total = (field.q - 1) ** r
+        return False, r  # w = (1, ..., 1) is off every pivot plane, if there are any
+    if not r:
+        return True, r  # only zero normals, and a zero normal vanishes everywhere
     for start in range(0, total, _CHUNK):
         w = decode_vectors(start, min(start + _CHUNK, total), field.q - 1, r) + 1
         if not (field.dot(coords[None, :, :], w[:, None, :]) == 0).any(axis=1).all():
-            return False
-    return True
+            return False, r
+    return True, r
 
 
 def fix_any_count(rows: np.ndarray, points) -> int:

@@ -5,16 +5,19 @@ plus a dumb exhaustive oracle), checks the two cover conditions (union
 is everything, intersection is zero), searches for minimum covers and
 builds the coordinate-plus-pencil cover of size d+q-1 that meets the
 lower bound.  Both conditions come from one elimination over GF(q)
-(``_kernels.gauss_jordan``): the intersection is zero when the normals
-have rank d, and the union is decided by a scan of the (q-1)^r vectors
-whose coordinates in the pivot normals are all nonzero.
+per normal set, in ``_kernels.cover_all_scan``: the intersection is zero
+when the normals have rank d, and the union is decided by a scan of the
+(q-1)^r vectors whose coordinates in the pivot normals are all nonzero.
+ENUM_CAP bounds every listing of vectors: the (q-1)^r of that scan, and
+the q^d that good_count_bruteforce scans and min_cover_search draws its
+normals from.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import cover_all_scan, gauss_jordan, good_count_scan
+from ._kernels import cover_all_scan, good_count_scan
 from .gf import FieldError, FieldSpec, factor_prime_power
 from .group import ENUM_CAP, ResourceCapExceeded
 
@@ -46,18 +49,16 @@ def d_sequences(q: int, j: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """U = {v : normal . v = 0}; k counts the nonzero coords of normal."""
+    """U = {v : normal . v = 0}."""
 
     normal: tuple[int, ...]
-    k: int
 
     @staticmethod
     def make(normal) -> "Hyperplane":
         tup = tuple(int(x) for x in normal)
-        k = sum(1 for x in tup if x)
-        if k == 0:
+        if not any(tup):
             raise FieldError("hyperplane normal must be nonzero")
-        return Hyperplane(tup, k)
+        return Hyperplane(tup)
 
 
 def canonical_normal(field: FieldSpec, normal) -> tuple[int, ...]:
@@ -107,23 +108,15 @@ def make_cover(q: int, d: int, normals) -> CoverInstance:
     return CoverInstance(field, d, planes)
 
 
-def rank_over_field(field: FieldSpec, rows: np.ndarray) -> int:
-    """Row rank: the number of pivot columns of the rows taken as columns."""
-    return len(gauss_jordan(field, np.asarray(rows).T)[1])
-
-
-def check_cover(cover: CoverInstance, cap: int = ENUM_CAP) -> tuple[bool, bool, bool]:
+def check_cover(cover: CoverInstance) -> tuple[bool, bool, bool]:
     """(covers_all, trivial_intersection, bound_ok); sets the instance flags.
 
     bound_ok is vacuously true unless both conditions hold, in which case
     the size bound 2 <= d <= |planes| - q + 1 must follow.
     """
     q, d = cover.field.q, cover.d
-    if q**d > cap:
-        raise ResourceCapExceeded(f"q^d = {q**d} exceeds exhaustion cap {cap}")
-    rows = cover.normal_rows()
-    covers_all = cover_all_scan(cover.field, d, rows)
-    trivial = rank_over_field(cover.field, rows) == d
+    covers_all, rank = cover_all_scan(cover.field, d, cover.normal_rows())
+    trivial = rank == d
     cover.covers_all = covers_all
     cover.trivial_intersection = trivial
     bound_ok = True
@@ -132,27 +125,28 @@ def check_cover(cover: CoverInstance, cap: int = ENUM_CAP) -> tuple[bool, bool, 
     return covers_all, trivial, bound_ok
 
 
-def good_count_bruteforce(
-    a: Hyperplane, field: FieldSpec, d: int | None = None, cap: int = ENUM_CAP
-) -> int:
+def _check_space_cap(q: int, d: int) -> None:
+    if q**d > ENUM_CAP:
+        raise ResourceCapExceeded(f"q^d = {q**d} exceeds enumeration cap {ENUM_CAP}")
+
+
+def good_count_bruteforce(a: Hyperplane, field: FieldSpec, d: int | None = None) -> int:
     """Exact count by scanning all q^d vectors; oracle for the formula."""
     if d is None:
         d = len(a.normal)
     if len(a.normal) != d:
         raise FieldError("normal length does not match dimension")
-    if field.q**d > cap:
-        raise ResourceCapExceeded(f"q^d = {field.q**d} exceeds exhaustion cap {cap}")
+    _check_space_cap(field.q, d)
     return good_count_scan(field, d, np.array(a.normal, dtype=np.int64))
 
 
-def min_cover_search(
-    q: int, d: int, budget: int = SEARCH_BUDGET, cap: int = ENUM_CAP
-) -> tuple[int, CoverInstance]:
+def min_cover_search(q: int, d: int, budget: int = SEARCH_BUDGET) -> tuple[int, CoverInstance]:
     """Smallest set meeting both cover conditions, first witness in
-    (size, lex) order.  Subsets below rank d are pruned before scanning.
+    (size, lex) order; check_cover decides each subset examined.
     """
     from itertools import combinations
 
+    _check_space_cap(q, d)  # all_canonical_normals lists GF(q)^d
     field = FieldSpec(q)
     normals = all_canonical_normals(field, d)
     examined = 0
@@ -161,11 +155,8 @@ def min_cover_search(
             examined += 1
             if examined > budget:
                 raise ResourceCapExceeded(f"cover search exceeded budget {budget}")
-            rows = np.array(combo, dtype=np.int64)
-            if rank_over_field(field, rows) != d:
-                continue
             cover = CoverInstance(field, d, [Hyperplane.make(n) for n in combo])
-            covers_all, trivial, bound_ok = check_cover(cover, cap=cap)
+            covers_all, trivial, bound_ok = check_cover(cover)
             if covers_all and trivial:
                 if not bound_ok:
                     raise ArithmeticError("cover found below the size bound; bug")

@@ -153,9 +153,7 @@ def _is_elementary_abelian(group: PermutationGroup, p: int) -> bool:
     )
 
 
-def sylow_certificate(
-    action: TwoOrbitAction, p: int, sylow: PermutationGroup | None = None
-) -> SylowCertificate:
+def sylow_certificate(action: TwoOrbitAction, p: int) -> SylowCertificate:
     """Certify the Sylow-orbit facts for a two-equal-orbit action.
 
     With n = b*p^k (p not dividing b) and b < p: the Sylow p-subgroup P
@@ -173,14 +171,10 @@ def sylow_certificate(
     k = dict(factorize(n))[p]
     pk = p**k
     b = n // pk
-    P = sylow if sylow is not None else sylow_subgroup(action.group, p)
-    if P.degree != action.group.degree or not P.is_subgroup_of(action.group):
-        raise GroupError("provided Sylow subgroup does not sit inside the group")
+    P = sylow_subgroup(action.group, p)
     d = 0
     while p**d < P.order:
         d += 1
-    if p**d != P.order:
-        raise GroupError("provided subgroup order is not a power of p")
     lengths = tuple(sorted(len(o) for o in P.orbits()))
 
     if b >= p:

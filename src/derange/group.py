@@ -406,14 +406,6 @@ class BlockSystem:
         if not (counts == self.block_size).all():
             raise GroupError("blocks are not of equal size")
 
-    def blocks(self) -> list[tuple[int, ...]]:
-        out = [[] for _ in range(self.num_blocks)]
-        for p in range(self.degree):
-            b = int(self.block_of[p])
-            if b >= 0:
-                out[b].append(p)
-        return [tuple(b) for b in out]
-
 
 def _join_classes(m: int, pairs, gen_rows=()) -> np.ndarray:
     """Class labels of the finest partition of 0..m-1 that joins each

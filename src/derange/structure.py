@@ -71,10 +71,6 @@ class ConjugacyClassTable:
     def __iter__(self):
         return iter(self.classes)
 
-    @property
-    def sizes(self) -> list[int]:
-        return [c.size for c in self.classes]
-
 
 def conjugacy_classes(group: PermutationGroup, cap: int = 10**6) -> ConjugacyClassTable:
     """Conjugacy class table of a group of order at most cap.

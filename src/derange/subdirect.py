@@ -11,6 +11,7 @@ coset occupies, product of x and y = table[y, x].
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,53 +51,43 @@ class QuotientModel:
     table: np.ndarray = field(repr=False)
     reps: list[Perm] = field(repr=False)
     kernel_rows: np.ndarray = field(repr=False)
-    _orders: np.ndarray | None = field(repr=False, default=None)
-    _gens: list[int] | None = field(repr=False, default=None)
-    _trees: list | None = field(repr=False, default=None)
-    _inverses: np.ndarray | None = field(repr=False, default=None)
-    _ranks: np.ndarray | None = field(repr=False, default=None)
-    _derangements: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def order(self) -> int:
         return len(self.reps)
 
+    @cached_property
     def inverse_points(self) -> np.ndarray:
-        if self._inverses is None:
-            self._inverses = np.argmax(self.table == 0, axis=1).astype(self.table.dtype)
-        return self._inverses
+        return np.argmax(self.table == 0, axis=1).astype(self.table.dtype)
 
+    @cached_property
     def point_ranks(self) -> np.ndarray:
         """rank[p] = position of reps[p] in the lex order of all coset
         representatives."""
-        if self._ranks is None:
-            ranks = np.empty(self.order, dtype=self.table.dtype)
-            ranks[lex_order(rows_of(self.reps, self.parent.degree))] = np.arange(self.order)
-            self._ranks = ranks
-        return self._ranks
+        ranks = np.empty(self.order, dtype=self.table.dtype)
+        ranks[lex_order(rows_of(self.reps, self.parent.degree))] = np.arange(self.order)
+        return ranks
 
     def least_in_orbits(self, points: np.ndarray, cent: np.ndarray) -> np.ndarray:
         """mask[i] = points[i] has the least rank of its orbit under
         conjugation by the elements at the points cent."""
-        t, rank = self.table, self.point_ranks()
+        t, rank = self.table, self.point_ranks
         # y^-1 * c * y for every c in points (rows), every y in cent (cols)
-        conj = t[cent[None, :], t[points[:, None], self.inverse_points()[cent][None, :]]]
+        conj = t[cent[None, :], t[points[:, None], self.inverse_points[cent][None, :]]]
         return rank[conj].min(axis=1) == rank[points]
 
+    @cached_property
     def element_orders(self) -> np.ndarray:
-        if self._orders is None:
-            self._orders = row_orders(self.table)
-        return self._orders
+        return row_orders(self.table)
 
+    @cached_property
     def generating_points(self) -> list[int]:
         """Small deterministic generating sequence: greedy by descending
         element order, ties broken by coset-representative lex order."""
-        if self._gens is not None:
-            return self._gens
         m = self.order
         gens: list[int] = []
         if m > 1:
-            orders = self.element_orders()
+            orders = self.element_orders
             pref = sorted(range(m), key=lambda p: (-int(orders[p]), self.reps[p].key))
             size = 1
             for p in pref:
@@ -108,18 +99,16 @@ class QuotientModel:
                     gens, size = trial, got
             if size != m:
                 raise GroupError(f"generating points reach {size} of {m} quotient points")
-        self._gens = gens
         return gens
 
+    @cached_property
     def prefix_trees(self) -> list[tuple[list, list]]:
         """Per generating point g_d, the Cayley-graph edges of the prefix
         subgroup H_d = <g_0..g_d> not already in H_(d-1), as (y, x, k)
         with y = x*g_k: the Schreier tree of the points new in H_d, in
         an order that places each parent before its children, and every
         other new edge."""
-        if self._trees is not None:
-            return self._trees
-        gens = self.generating_points()
+        gens = self.generating_points
         rows = [self.table[g].tolist() for g in gens]
         seen = bytearray(self.order)
         seen[0] = 1
@@ -144,21 +133,17 @@ class QuotientModel:
                     visit(x, k)
             members += new
             trees.append((tree, edges))
-        self._trees = trees
         return trees
 
     def coset_rows(self, p: int) -> np.ndarray:
         """The parent-group elements of the coset at point p, as rows."""
         return rows_then(self.kernel_rows, self.reps[p])
 
+    @cached_property
     def derangement_bitmap(self) -> np.ndarray:
         """bitmap[p] = coset p contains an element fixing no parent point."""
-        if self._derangements is None:
-            pts = np.arange(self.parent.degree)
-            self._derangements = np.array(
-                [not fixes_any(self.coset_rows(p), pts).all() for p in range(self.order)]
-            )
-        return self._derangements
+        pts = np.arange(self.parent.degree)
+        return np.array([not fixes_any(self.coset_rows(p), pts).all() for p in range(self.order)])
 
 
 def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) -> QuotientModel:
@@ -251,12 +236,12 @@ class _IsoSearch:
         self.dedup = dedup
         self.cap = cap
         self.m = q1.order
-        self.gens = q1.generating_points()
-        self.trees = q1.prefix_trees()
+        self.gens = q1.generating_points
+        self.trees = q1.prefix_trees
         # plain-int lookups: t2[c * m + x] is the point of x*c in q2
         self.t2 = memoryview(q2.table.reshape(-1))
-        ord1, ord2 = q1.element_orders(), q2.element_orders()
-        rank = q2.point_ranks()
+        ord1, ord2 = q1.element_orders, q2.element_orders
+        rank = q2.point_ranks
         # candidate images per slot: matching element order, in rank order
         self.cands = []
         for g in self.gens:
@@ -393,7 +378,7 @@ def materialize_group(desc: SubdirectDescriptor) -> PermutationGroup:
     q1, q2 = desc.q1, desc.q2
     id1 = Perm.identity(q1.parent.degree)
     id2 = Perm.identity(q2.parent.degree)
-    gens = [_combine(q1.reps[p], q2.reps[desc.point_map[p]]) for p in q1.generating_points()]
+    gens = [_combine(q1.reps[p], q2.reps[desc.point_map[p]]) for p in q1.generating_points]
     gens.extend(_combine(n, id2) for n in q1.kernel.generators)
     gens.extend(_combine(id1, n) for n in q2.kernel.generators)
     G = PermutationGroup(q1.parent.degree + q2.parent.degree, gens)
@@ -413,8 +398,8 @@ def subdirect_derangement(desc: SubdirectDescriptor) -> Perm | None:
     g2 deranges domain 2, so existence reduces to finding a coset of N1
     holding a derangement whose partner coset of N2 holds one too.
     """
-    bm1 = desc.q1.derangement_bitmap()
-    bm2 = desc.q2.derangement_bitmap()
+    bm1 = desc.q1.derangement_bitmap
+    bm2 = desc.q2.derangement_bitmap
     hits = np.nonzero(bm1 & bm2[desc.point_map])[0]
     if hits.size == 0:
         return None

@@ -3,13 +3,14 @@
 Everything here trades speed for obvious correctness: no conjugacy
 shortcuts, no lattice pruning, just exhaustive closure growth.  Also the
 one-element helpers the tests share (a group's elements as ``Perm``s,
-conjugation, the derangement test), the class-sum count of non-derangements that the scan must match, the
-reference versions of the stabilizer chain, the normal closure, the
-normal-subgroup lattice, the quotient isomorphism search and its
-dedup pass that the library's faster ones must match output for output,
-the scan of all q^d vectors behind the two hyperplane-cover flags, and
-the one recipe for launching the ``derange`` CLI in a separate
-process.
+conjugation, the derangement test, a block system's blocks and a class
+table's sizes), the class-sum count of non-derangements that the scan
+must match, the reference versions of the stabilizer chain, the normal
+closure, the normal-subgroup lattice, the quotient isomorphism search
+and its dedup pass that the library's faster ones must match output for
+output, the scan of all q^d vectors behind the two hyperplane-cover
+flags, and the one recipe for launching the ``derange`` CLI in a
+separate process.
 """
 
 import os
@@ -37,6 +38,21 @@ def conjugate(h: Perm, g: Perm) -> Perm:
 def is_derangement(g: Perm, omega) -> bool:
     """g fixes no point of omega."""
     return not fixes_any(g.images[None, :], list(omega))[0]
+
+
+def blocks(system) -> list[tuple[int, ...]]:
+    """The blocks of a block system, each as its sorted points, in
+    block-label order."""
+    out = [[] for _ in range(system.num_blocks)]
+    for p, b in enumerate(system.block_of.tolist()):
+        if b >= 0:
+            out[b].append(p)
+    return [tuple(b) for b in out]
+
+
+def class_sizes(table) -> list[int]:
+    """The sizes of a conjugacy class table's classes, in table order."""
+    return [c.size for c in table.classes]
 
 
 def class_sum_nonderangements(group, omega, class_cap: int = 10**6) -> int:
@@ -294,8 +310,8 @@ def reference_isomorphisms(q1, q2):
         return [np.zeros(1, dtype=np.int64)]
     m = q1.order
     t1, t2 = q1.table, q2.table
-    gens = q1.generating_points()
-    ord1, ord2 = q1.element_orders(), q2.element_orders()
+    gens = q1.generating_points
+    ord1, ord2 = q1.element_orders, q2.element_orders
     cands = []
     for g in gens:
         pool = [p for p in range(m) if int(ord2[p]) == int(ord1[g])]
@@ -363,7 +379,7 @@ def reference_dedup_isomorphisms(q1, q2):
     isos = quotient_isomorphisms(q1, q2, dedup=False)
     if len(isos) < 2:
         return isos
-    gens = q1.generating_points()
+    gens = q1.generating_points
     t2 = q2.table
     inv2 = np.argmax(t2 == 0, axis=1)
     ys = np.arange(q2.order)

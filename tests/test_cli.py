@@ -217,6 +217,19 @@ class TestLincover:
         assert doc["trivial_intersection"] is True
         assert len(doc["hyperplanes"]) == 5
 
+    def test_tight_past_the_space_cap(self, runner):
+        # q^d = 2^24 is over the enumeration cap; the check scans one vector
+        result = runner.invoke(lincover, ["tight", "--q", "2", "--d", "24"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["size"] == "25"
+        assert doc["covers_all"] is True and doc["trivial_intersection"] is True
+
+    def test_search_past_the_space_cap_is_partial(self, runner):
+        result = runner.invoke(lincover, ["search", "--q", "2", "--d", "24"])
+        assert result.exit_code == 3
+        assert "exceeds enumeration cap" in result.stderr
+
 
 class TestSubdirect:
     def test_list_is_default(self, runner, c4_file):

@@ -15,10 +15,11 @@ from derange.cover import (
     good_count_formula,
     make_cover,
     min_cover_search,
-    rank_over_field,
     tight_cover_construct,
 )
+from derange import _kernels
 from derange.gf import FieldError, FieldSpec
+from derange.group import ENUM_CAP
 from oracles import full_cover_scan
 
 
@@ -54,7 +55,7 @@ def test_formula_equals_bruteforce_on_random_normals(q):
                 normal = np.zeros(d, dtype=np.int64)
                 normal[support] = rng.integers(1, q, size=k)
                 a = Hyperplane.make(normal)
-                assert a.k == k
+                assert sum(1 for x in a.normal if x) == k
                 assert good_count_bruteforce(a, field, d) == want, (q, d, k, normal)
 
 
@@ -96,8 +97,7 @@ def test_d_sequences_count_good_solutions_directly():
 def test_hyperplane_validation():
     with pytest.raises(FieldError):
         Hyperplane.make([0, 0, 0])
-    h = Hyperplane.make([0, 2, 1])
-    assert h.k == 2
+    assert Hyperplane.make([0, 2, 1]).normal == (0, 2, 1)
 
 
 def test_canonical_normal():
@@ -126,12 +126,14 @@ def test_make_cover_dedups_scalar_multiples():
 
 
 def test_rank_over_field():
+    # the rank is the pivot count of the one elimination
     f = FieldSpec(2)
-    assert rank_over_field(f, np.array([[1, 0], [0, 1]])) == 2
-    assert rank_over_field(f, np.array([[1, 1], [1, 1]])) == 1
+    assert len(_kernels.gauss_jordan(f, np.array([[1, 0], [0, 1]]).T)[1]) == 2
+    assert len(_kernels.gauss_jordan(f, np.array([[1, 1], [1, 1]]).T)[1]) == 1
     f9 = FieldSpec(9)
     rows = np.array([[1, 3, 0], [3, 1, 0], [0, 0, 1]])
-    assert rank_over_field(f9, rows) == 3
+    assert len(_kernels.gauss_jordan(f9, rows.T)[1]) == 3
+    assert _kernels.cover_all_scan(f9, 3, rows)[1] == 3
 
 
 def test_check_cover_examples():
@@ -150,9 +152,43 @@ def test_check_cover_examples():
 
 
 def test_check_cover_cap():
-    c = make_cover(3, 2, [[1, 0]])
+    # 24 coordinate planes over GF(3): the scan would list 2^24 > ENUM_CAP vectors
+    assert 2**24 > ENUM_CAP
+    coords = make_cover(3, 24, np.eye(24, dtype=np.int64))
+    with pytest.raises(ResourceCapExceeded, match="exceeds enumeration cap"):
+        check_cover(coords)
+
+
+def test_check_cover_caps_the_scan_not_the_space():
+    # q^d = 2^24 is over ENUM_CAP, but the scan lists (q-1)^r = 1 vector
+    assert check_cover(tight_cover_construct(2, 24)) == (True, True, True)
+
+
+def test_searches_over_the_cap_raise_before_listing(monkeypatch):
+    def no_listing(field, d):
+        raise AssertionError("GF(q)^d listed")
+
+    monkeypatch.setattr("derange.cover.all_canonical_normals", no_listing)
+    with pytest.raises(ResourceCapExceeded, match="q\\^d = 16777216"):
+        min_cover_search(2, 24)
     with pytest.raises(ResourceCapExceeded):
-        check_cover(c, cap=5)
+        good_count_bruteforce(Hyperplane.make([1] * 24), FieldSpec(2), 24)
+
+
+def test_search_eliminates_each_subset_once(monkeypatch):
+    calls = []
+    real = _kernels.gauss_jordan
+
+    def counted(field, matrix):
+        calls.append(np.shape(matrix))
+        return real(field, matrix)
+
+    monkeypatch.setattr(_kernels, "gauss_jordan", counted)
+    min_cover_search(2, 2)
+    assert len(calls) == 7  # 3 singletons, 3 pairs, then the first triple covers
+    calls.clear()
+    min_cover_search(3, 3)
+    assert len(calls) == 1093
 
 
 @pytest.mark.parametrize("q,d", [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3)])

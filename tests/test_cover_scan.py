@@ -8,7 +8,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from derange._kernels import cover_all_scan, gauss_jordan  # noqa: E402
-from derange.cover import CoverInstance, Hyperplane, check_cover, rank_over_field  # noqa: E402
+from derange.cover import CoverInstance, Hyperplane, check_cover  # noqa: E402
 from derange.gf import FieldSpec  # noqa: E402
 from oracles import full_cover_scan  # noqa: E402
 
@@ -42,8 +42,10 @@ def test_cover_flags_match_full_scan(case):
     q, d, normals = case
     field = FIELDS[q]
     covers_all, trivial = full_cover_scan(field, d, normals)
-    assert cover_all_scan(field, d, normals) == covers_all
-    assert (rank_over_field(field, normals) == d) == trivial
+    scanned, rank = cover_all_scan(field, d, normals)
+    assert scanned == covers_all
+    assert rank == len(gauss_jordan(field, normals.T)[1])
+    assert (rank == d) == trivial
     if len(normals) and normals.any(axis=1).all():
         cover = CoverInstance(field, d, [Hyperplane.make(row) for row in normals])
         assert check_cover(cover)[:2] == (covers_all, trivial)
@@ -69,10 +71,11 @@ def test_elimination_gives_coordinates_in_the_pivot_basis(case):
 def test_zero_row_and_independent_normals():
     field = FIELDS[3]
     with_zero = np.array([[1, 0, 0], [0, 0, 0]])
-    assert cover_all_scan(field, 3, with_zero)
+    assert cover_all_scan(field, 3, with_zero) == (True, 1)
     assert full_cover_scan(field, 3, with_zero)[0]
+    # only zero normals: rank 0, and every vector is covered
+    assert cover_all_scan(field, 3, np.zeros((2, 3))) == (True, 0)
     # independent normals only: the all-ones coordinates lie on no plane
     basis = np.array([[1, 2, 0], [0, 1, 1], [1, 0, 2]])
-    assert not cover_all_scan(field, 3, basis)
+    assert cover_all_scan(field, 3, basis) == (False, 3)
     assert full_cover_scan(field, 3, basis) == (False, True)
-    assert rank_over_field(field, basis) == 3

@@ -32,10 +32,10 @@ def test_cover_all_lanes_agree():
     field = FieldSpec(3)
     full = [[1, 0], [0, 1], [1, 1], [1, 2]]
     partial = [[1, 0], [0, 1], [1, 1]]
-    assert cover_all_scan(field, 2, np.array(full))
-    assert not cover_all_scan(field, 2, np.array(partial))
-    # empty plane list covers only the empty/point space
-    assert not cover_all_scan(field, 2, np.empty((0, 2)))
+    assert cover_all_scan(field, 2, np.array(full)) == (True, 2)
+    assert cover_all_scan(field, 2, np.array(partial)) == (False, 2)
+    # an empty plane list covers nothing
+    assert cover_all_scan(field, 2, np.empty((0, 2))) == (False, 0)
 
 
 def test_fix_any_count_matches_mask():

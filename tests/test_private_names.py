@@ -4,10 +4,11 @@ Small AST checks in the style of ``test_imports.py``.  A name bound at
 module level by ``def _name`` or ``class _Name`` under ``src/derange/``
 must be referenced somewhere in ``src/`` outside its own definition, so
 a helper that a refactor leaves behind is caught.  A public module-level
-function or class, and a public method, must be referenced outside its
-own definition from ``src/`` (bar the re-exports in ``__init__.py``),
-``perfbench/`` or ``tools/``, so API that only tests call is caught too;
-click commands are exempt, since click calls them.
+function or class must be referenced outside its own definition from
+``src/`` (bar the re-exports in ``__init__.py``), ``perfbench/`` or
+``tools/``, and a public method must be taken there as an attribute
+(``x.name``), so API that only tests call is caught too; click commands
+are exempt, since click calls them.
 """
 
 import ast
@@ -46,6 +47,11 @@ def _name_counts(node) -> Counter:
     return out
 
 
+def _attribute_counts(node) -> Counter:
+    """How often each name is taken as an attribute under the node."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def _referenced(nodes) -> set[str]:
     """Names read, attributes taken and names imported under the nodes."""
     return {name for top in nodes for name in _name_counts(top)}
@@ -77,16 +83,16 @@ def test_no_unreferenced_private_helpers():
     assert unreferenced_private(sources) == []
 
 
-def _public_defs(tree: ast.Module) -> list[ast.stmt]:
-    """Public module-level functions and classes, and public methods,
-    bar click commands."""
+def _public_defs(tree: ast.Module) -> list[tuple[ast.stmt, bool]]:
+    """(node, is_method) of the public module-level functions and
+    classes, bar click commands, and of the public methods."""
     out = []
     for node in tree.body:
         if isinstance(node, _DEFS) and not node.name.startswith("_") and not _is_click_command(node):
-            out.append(node)
+            out.append((node, False))
         if isinstance(node, ast.ClassDef):
             out.extend(
-                item for item in node.body
+                (item, True) for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not item.name.startswith("_")
             )
@@ -103,16 +109,17 @@ def _is_click_command(node: ast.stmt) -> bool:
 
 def uncalled_public(package: dict[str, str], callers: dict[str, str]) -> list[tuple[str, int, str]]:
     """(module, line, name) of each public definition in the package
-    modules that the caller modules never reference outside the
-    definition itself."""
-    total = Counter()
-    for text in callers.values():
-        total += _name_counts(ast.parse(text))
+    modules never reference outside the definition itself; a method
+    counts only where it is taken as an attribute."""
+    trees = [ast.parse(text) for text in callers.values()]
+    names = sum(map(_name_counts, trees), Counter())
+    attrs = sum(map(_attribute_counts, trees), Counter())
     found = []
     for module, text in package.items():
-        for node in _public_defs(ast.parse(text)):
-            own = _name_counts(node)[node.name] if module in callers else 0
-            if total[node.name] <= own:
+        for node, is_method in _public_defs(ast.parse(text)):
+            count = _attribute_counts if is_method else _name_counts
+            own = count(node)[node.name] if module in callers else 0
+            if (attrs if is_method else names)[node.name] <= own:
                 found.append((module, node.lineno, node.name))
     return found
 
@@ -122,12 +129,16 @@ def test_checker_flags_an_uncalled_public_name():
         "a": (
             "class Used:\n    def run(self):\n        pass\n    def spare(self):\n"
             "        return self.spare()\n"
+            "    def named(self):\n        pass\n"
             "def lost():\n    pass\n"
             "@cli.command('go')\ndef go_cmd():\n    pass\n"
         ),
     }
-    callers = dict(package, b="from a import Used\nUsed().run()\n")
-    assert uncalled_public(package, callers) == [("a", 4, "spare"), ("a", 6, "lost")]
+    # a local variable that shares a method's name does not call it
+    callers = dict(package, b="from a import Used\nUsed().run()\nnamed = [1]\n")
+    assert uncalled_public(package, callers) == [
+        ("a", 4, "spare"), ("a", 6, "named"), ("a", 8, "lost"),
+    ]
 
 
 def test_public_names_have_callers_outside_tests():

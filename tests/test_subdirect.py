@@ -65,22 +65,22 @@ class TestQuotient:
     def test_s4_mod_a4(self):
         q = quotient(S4, A4)
         assert q.order == 2
-        assert sorted(q.element_orders().tolist()) == [1, 2]
+        assert sorted(q.element_orders.tolist()) == [1, 2]
 
     def test_s4_mod_v4_is_s3_shaped(self):
         q = quotient(S4, V4)
         assert q.order == 6
-        assert sorted(q.element_orders().tolist()) == [1, 2, 2, 2, 3, 3]
+        assert sorted(q.element_orders.tolist()) == [1, 2, 2, 2, 3, 3]
 
     def test_whole_group_gives_trivial_quotient(self):
         q = quotient(S4, S4)
         assert q.order == 1
-        assert q.generating_points() == []
+        assert q.generating_points == []
 
     def test_trivial_kernel_gives_regular_model(self):
         q = quotient(S3, trivial(3))
         assert q.order == 6
-        got = sorted(q.element_orders().tolist())
+        got = sorted(q.element_orders.tolist())
         want = sorted(g.order for g in elements(S3))
         assert got == want
 
@@ -90,7 +90,7 @@ class TestQuotient:
         for x in range(m):
             assert table_mult(q, x, 0) == x
             assert table_mult(q, 0, x) == x
-        inv = q.inverse_points()
+        inv = q.inverse_points
         for x in range(m):
             assert table_mult(q, x, int(inv[x])) == 0
             assert table_mult(q, int(inv[x]), x) == 0
@@ -165,7 +165,7 @@ class TestQuotient:
     def test_generating_points_generate(self):
         for G, N in [(S4, V4), (S4, trivial(4)), (A4, V4), (C4, trivial(4))]:
             q = quotient(G, N)
-            gens = q.generating_points()
+            gens = q.generating_points
             prods = {0}
             frontier = [0]
             while frontier:
@@ -245,7 +245,7 @@ class TestQuotientIsomorphisms:
         )
         qa, qb = quotient(c8c2, trivial(10)), quotient(m16, trivial(8))
         assert qa.order == qb.order == 16
-        assert sorted(qa.element_orders().tolist()) == sorted(qb.element_orders().tolist())
+        assert sorted(qa.element_orders.tolist()) == sorted(qb.element_orders.tolist())
 
         def centre_size(q):
             return int((q.table == q.table.T).all(axis=1).sum())
@@ -528,7 +528,7 @@ class TestMaterialize:
 
     def test_point_map_not_an_isomorphism_rejected(self):
         d = next(d for d in goursat_enumerate(S3, S3) if d.quotient_order == 6)
-        g3, g2 = d.q1.generating_points()  # orders 3 and 2
+        g3, g2 = d.q1.generating_points  # orders 3 and 2
         bad = d.point_map.copy()
         bad[g3], bad[g2] = d.point_map[g2], d.point_map[g3]
         with pytest.raises(GroupError, match="not an isomorphism"):

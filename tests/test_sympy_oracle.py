@@ -28,6 +28,7 @@ from derange.group import factorize  # noqa: E402
 from derange.structure import conjugacy_classes, normal_subgroups, sylow_subgroup  # noqa: E402
 from derange.subdirect import goursat_enumerate, materialize_group  # noqa: E402
 from derange.subgroups import ElementTable  # noqa: E402
+from oracles import class_sizes  # noqa: E402
 
 
 @st.composite
@@ -48,7 +49,7 @@ def test_engine_matches_sympy(case):
 
     their_classes = theirs.conjugacy_classes()
     sizes = sorted(len(c) for c in their_classes)
-    assert sorted(conjugacy_classes(ours).sizes) == sizes
+    assert sorted(class_sizes(conjugacy_classes(ours))) == sizes
     fixers = sum(
         len(c) for c in their_classes
         if any(x == i for i, x in enumerate(next(iter(c)).array_form))
@@ -121,7 +122,7 @@ def test_sylow_stabilizer_counts_match_sympy():
         for desc in goursat_enumerate(groups[i], groups[j], normals1=normals[i], normals2=normals[j]):
             H = materialize_group(desc)
             P = sylow_subgroup(H, 3)
-            cert = sylow_certificate(TwoOrbitAction.of(H), 3, sylow=P)
+            cert = sylow_certificate(TwoOrbitAction.of(H), 3)  # builds the same P
             theirs = combinatorics.PermutationGroup([_sympy_perm(H.degree, g.images) for g in P.generators])
             stabs = {
                 frozenset(tuple(g.array_form) for g in theirs.stabilizer(x).elements)
