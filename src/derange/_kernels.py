@@ -85,16 +85,17 @@ def cover_all_scan(field, d: int, normals) -> tuple[bool, int]:
     coordinate row c, so v is off every plane exactly when w has no zero
     coordinate and every c.w is nonzero: only the (q-1)^r vectors w in
     {1..q-1}^r are scanned, against the s - r coordinate rows, and over
-    ENUM_CAP of them raise ResourceCapExceeded.
+    ENUM_CAP of them raise ResourceCapExceeded.  With no coordinate rows
+    nothing is scanned, so no cap applies.
     """
     reduced, pivots = gauss_jordan(field, np.asarray(normals, dtype=np.int64).T)
     r = len(pivots)
-    total = (field.q - 1) ** r
-    if total > ENUM_CAP:
-        raise ResourceCapExceeded(f"(q-1)^r = {total} exceeds enumeration cap {ENUM_CAP}")
     coords = np.delete(reduced[:r], pivots, axis=1).T
     if not len(coords):
         return False, r  # w = (1, ..., 1) is off every pivot plane, if there are any
+    total = (field.q - 1) ** r
+    if total > ENUM_CAP:
+        raise ResourceCapExceeded(f"(q-1)^r = {total} exceeds enumeration cap {ENUM_CAP}")
     if not r:
         return True, r  # only zero normals, and a zero normal vanishes everywhere
     for start in range(0, total, _CHUNK):

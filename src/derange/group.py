@@ -1,18 +1,23 @@
 """Permutation groups with a deterministic stabilizer-chain backbone.
 
 Orders and memberships come from an explicitly built base and strong
-generating set (Schreier-Sims with full Schreier-generator checking, no
-randomization).  Base points are chosen in increasing point order, so
-every derived quantity (element enumeration order, transversal layout)
-is reproducible run to run.  The chain is sifted and checked by a batched
+generating set.  A group given by generators gets its chain by
+Schreier-Sims with full Schreier-generator checking, no randomization;
+base points are chosen in increasing point order, so every derived
+quantity (element enumeration order, transversal layout) is
+reproducible run to run.  The chain is sifted and checked by a batched
 sift of uint8 rows, one array for all of a level's Schreier generators;
 it has the same base, strong generators and transversals as the loop
 that sifts one element at a time (``tests/oracles.py::ReferenceBSGS``).
+A group whose base and strong generators are known by construction
+(a subdirect product, from its factors' chains) gets its chain built
+from them, with no search: ``BSGS.from_strong_generators``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +65,24 @@ class BSGS:
         self.order = 1
         for g in generators:
             self.extend(g)
+
+    @classmethod
+    def from_strong_generators(cls, degree: int, base, strong_gens) -> "BSGS":
+        """The chain of a known base and strong generating set, with no
+        sifting: the caller vouches that, for each i, the strong
+        generators fixing base[:i] generate that point stabilizer.  Each
+        level's transversal is built by the same orbit walk as in
+        Schreier-Sims, and the order is the product of the orbit lengths.
+        """
+        chain = cls(degree)
+        chain.base = [int(b) for b in base]
+        chain.strong_gens = list(strong_gens)
+        chain._gen_rows = rows_of(chain.strong_gens, degree)
+        chain._levels = [None] * len(chain.base)
+        for i in range(len(chain.base)):
+            chain._rebuild(i)
+        chain._set_order()
+        return chain
 
     def sift_rows(self, rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Each (m, degree) row reduced through levels[start:]: the residue
@@ -111,6 +134,9 @@ class BSGS:
         self._gen_rows = np.concatenate([self._gen_rows, residue.images[None, :]])
         for i in range(j + 1):
             self._rebuild(i)
+        self._set_order()
+
+    def _set_order(self) -> None:
         self.order = 1
         for level in self._levels:
             self.order *= len(level.points)
@@ -221,6 +247,13 @@ class PermutationGroup:
 
     # --- stabilizer chain ------------------------------------------------
 
+    @staticmethod
+    def from_chain(chain: BSGS, name: str | None = None) -> "PermutationGroup":
+        """The group of a built chain, generated by its strong generators."""
+        group = PermutationGroup(chain.degree, chain.strong_gens, name=name)
+        group._bsgs = chain
+        return group
+
     @property
     def bsgs(self) -> BSGS:
         if self._bsgs is None:
@@ -314,15 +347,14 @@ class PermutationGroup:
             prod = t[:, suffix]
             suffix = prod.reshape(-1, self.degree)
 
-        def rec(level: int, acc: np.ndarray | None):
-            if level == split:
-                yield suffix if acc is None else acc[suffix]
-                return
-            for row in tr[level]:
-                nxt = row if acc is None else acc[row]
-                yield from rec(level + 1, nxt)
-
-        yield from rec(0, None)
+        # one row per level above split, the odometer running level 0
+        # slowest; a recursive inner generator would sit in a reference
+        # cycle with itself and keep suffix alive until a cyclic collection
+        for rows in product(*tr[:split]):
+            acc = None
+            for row in rows:
+                acc = row if acc is None else acc[row]
+            yield suffix if acc is None else acc[suffix]
 
     def element_rows(self, cap: int | None = None) -> np.ndarray:
         """All elements as one row array; raises ResourceCapExceeded over cap."""

@@ -121,7 +121,7 @@ def normal_closure(group: PermutationGroup, seeds) -> PermutationGroup:
         queue = np.concatenate(
             [queue[:top]] + [conjugate_rows(h[None, :], g, g_inv) for g, g_inv in pairs]
         )
-    return _wrap(group.degree, b)
+    return PermutationGroup.from_chain(b)
 
 
 def normal_subgroups(group: PermutationGroup, class_cap: int = 10**6) -> list[PermutationGroup]:
@@ -232,7 +232,7 @@ def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
     target = p_part(group.order, p)
     b = BSGS(group.degree)
     if target == 1:
-        return _wrap(group.degree, b, name=f"Sylow_{p}")
+        return PermutationGroup.from_chain(b, name=f"Sylow_{p}")
     # big orders first so the chain grows in few steps
     pool = p_element_rows(group, p)
     while b.order < target:
@@ -244,10 +244,4 @@ def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
         b.extend(Perm(g, validate=False))
     if b.order != target:
         raise GroupError(f"grew a {p}-subgroup of order {b.order}, not the p-part {target}")
-    return _wrap(group.degree, b, name=f"Sylow_{p}")
-
-
-def _wrap(degree: int, b: BSGS, name: str | None = None) -> PermutationGroup:
-    g = PermutationGroup(degree, list(b.strong_gens), name=name)
-    g._bsgs = b
-    return g
+    return PermutationGroup.from_chain(b, name=f"Sylow_{p}")

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import row_orders
-from .group import GroupError, PermutationGroup, ResourceCapExceeded
+from .group import BSGS, GroupError, PermutationGroup, ResourceCapExceeded
 from .perm import (
     MAX_DEGREE,
     Perm,
@@ -43,7 +43,8 @@ class QuotientModel:
     multiplication with the element at point p, so the table doubles as
     the multiplication table: point of x*y equals table[point(y),
     point(x)].  reps[p] is a parent-group representative of the coset at
-    point p, reps[0] the identity.
+    point p, reps[0] the identity.  enc maps each coset's key (its
+    lex-least element's bytes) to its point.
     """
 
     parent: PermutationGroup
@@ -51,6 +52,7 @@ class QuotientModel:
     table: np.ndarray = field(repr=False)
     reps: list[Perm] = field(repr=False)
     kernel_rows: np.ndarray = field(repr=False)
+    enc: dict[bytes, int] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -135,6 +137,13 @@ class QuotientModel:
             trees.append((tree, edges))
         return trees
 
+    def point_of(self, g: Perm) -> int:
+        """The point of the coset holding the parent-group element g."""
+        p = self.enc.get(_coset_key(self.kernel_rows, g))
+        if p is None:
+            raise GroupError("element lies in no coset of the quotient model")
+        return p
+
     def coset_rows(self, p: int) -> np.ndarray:
         """The parent-group elements of the coset at point p, as rows."""
         return rows_then(self.kernel_rows, self.reps[p])
@@ -144,6 +153,11 @@ class QuotientModel:
         """bitmap[p] = coset p contains an element fixing no parent point."""
         pts = np.arange(self.parent.degree)
         return np.array([not fixes_any(self.coset_rows(p), pts).all() for p in range(self.order)])
+
+
+def _coset_key(kernel_rows: np.ndarray, g: Perm) -> bytes:
+    """The bytes of the lex-least element of the coset of g."""
+    return lex_sorted(rows_then(kernel_rows, g))[0].tobytes()
 
 
 def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) -> QuotientModel:
@@ -169,14 +183,14 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
 
     kernel_rows = N.element_rows()
     reps = [Perm.identity(G.degree)]
-    enc = {lex_sorted(kernel_rows)[0].tobytes(): 0}
+    enc = {_coset_key(kernel_rows, reps[0]): 0}
     disc: list[tuple[int, int]] = [(0, -1)]
     gen_rows = [np.empty(m, dtype=np.int64) for _ in G.generators]
     p = 0
     while p < len(reps):
         for si, s in enumerate(G.generators):
             c = reps[p] * s
-            key = lex_sorted(rows_then(kernel_rows, c))[0].tobytes()
+            key = _coset_key(kernel_rows, c)
             q = enc.get(key)
             if q is None:
                 q = len(reps)
@@ -203,7 +217,7 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
     # (and G) alive after their last use until the cyclic collector runs
     kernel = PermutationGroup(N.degree, N.generators, name=N.name)
     kernel._bsgs = N.bsgs
-    model = QuotientModel(G, kernel, table, reps, kernel_rows)
+    model = QuotientModel(G, kernel, table, reps, kernel_rows, enc)
     if model.order * N.order != G.order:
         raise GroupError("quotient order times kernel order is not the parent order")
     N._quotient = model
@@ -373,21 +387,39 @@ def _combine(g1: Perm, g2: Perm) -> Perm:
 
 
 def materialize_group(desc: SubdirectDescriptor) -> PermutationGroup:
-    """The subdirect product as a permutation group on the disjoint
-    union of the two parent domains (second domain shifted)."""
+    """The subdirect product H as a permutation group on the disjoint
+    union of the two parent domains (second domain shifted).
+
+    Its stabilizer chain is built from the factors' chains, with no
+    search.  The stabilizer in H of G1's first i base points is
+    generated by the lifts (s, t) of the strong generators s of G1 that
+    fix those points, t a representative of the partner of s's coset,
+    together with 1 x N2.  So the base is G1's followed by N2's, each
+    level's orbit is G1's orbit at that level or N2's, and the order is
+    |G1| * |N2|.  That needs the point map to be an isomorphism of the
+    quotients, which is checked first: a bijection that respects every
+    Cayley-graph edge x -> x*g of q1's generating points g is one.
+    """
     q1, q2 = desc.q1, desc.q2
-    id1 = Perm.identity(q1.parent.degree)
-    id2 = Perm.identity(q2.parent.degree)
-    gens = [_combine(q1.reps[p], q2.reps[desc.point_map[p]]) for p in q1.generating_points]
-    gens.extend(_combine(n, id2) for n in q1.kernel.generators)
-    gens.extend(_combine(id1, n) for n in q2.kernel.generators)
-    G = PermutationGroup(q1.parent.degree + q2.parent.degree, gens)
-    if G.order != desc.subgroup_order:
-        raise GroupError(
-            f"materialized order {G.order} is not the descriptor's {desc.subgroup_order}; "
-            "the point map is not an isomorphism of the quotients"
-        )
-    return G
+    pm = np.asarray(desc.point_map)
+    m = q1.order
+    gens = q1.generating_points
+    if not (
+        len(pm) == m == q2.order
+        # np.unique would first import numpy.ma (about 1.5 MB)
+        and np.array_equal(np.sort(pm), np.arange(m))
+        and (q2.table[pm[gens]][:, pm] == pm[q1.table[gens]]).all()
+    ):
+        raise GroupError("the point map is not an isomorphism of the quotients")
+    c1, c2 = q1.parent.bsgs, q2.kernel.bsgs
+    n1 = q1.parent.degree
+    id1 = Perm.identity(n1)
+    strong = [_combine(s, q2.reps[pm[q1.point_of(s)]]) for s in c1.strong_gens]
+    strong += [_combine(id1, t) for t in c2.strong_gens]
+    base = c1.base + [b + n1 for b in c2.base]
+    return PermutationGroup.from_chain(
+        BSGS.from_strong_generators(n1 + q2.parent.degree, base, strong)
+    )
 
 
 def subdirect_derangement(desc: SubdirectDescriptor) -> Perm | None:

@@ -8,9 +8,10 @@ table's sizes), the class-sum count of non-derangements that the scan
 must match, the reference versions of the stabilizer chain, the normal
 closure, the normal-subgroup lattice, the quotient isomorphism search
 and its dedup pass that the library's faster ones must match output for
-output, the scan of all q^d vectors behind the two hyperplane-cover
-flags, and the one recipe for launching the ``derange`` CLI in a
-separate process.
+output, a subdirect product grown by Schreier-Sims from its generators
+(the group the chain built from the factors must equal), the scan of
+all q^d vectors behind the two hyperplane-cover flags, and the one
+recipe for launching the ``derange`` CLI in a separate process.
 """
 
 import os
@@ -246,6 +247,26 @@ def are_conjugate(G, H, K) -> bool:
         if frozenset(conjugate(h, y).key for h in elements(H)) == want:
             return True
     return False
+
+
+def _combine(g1: Perm, g2: Perm) -> Perm:
+    return Perm(np.concatenate([g1.images, g2.images + g1.degree]), validate=False)
+
+
+def reference_materialize(desc) -> PermutationGroup:
+    """The subdirect product of a Goursat descriptor, by Schreier-Sims on
+    lifted quotient generators plus both kernels' generators; the order
+    check |G1| |N2| is what certifies the point map."""
+    q1, q2 = desc.q1, desc.q2
+    id1 = Perm.identity(q1.parent.degree)
+    id2 = Perm.identity(q2.parent.degree)
+    gens = [_combine(q1.reps[p], q2.reps[desc.point_map[p]]) for p in q1.generating_points]
+    gens.extend(_combine(n, id2) for n in q1.kernel.generators)
+    gens.extend(_combine(id1, n) for n in q2.kernel.generators)
+    G = PermutationGroup(q1.parent.degree + q2.parent.degree, gens)
+    if G.order != desc.subgroup_order:
+        raise ValueError(f"order {G.order} is not the descriptor's {desc.subgroup_order}")
+    return G
 
 
 def brute_derangement(G):

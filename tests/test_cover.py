@@ -152,11 +152,16 @@ def test_check_cover_examples():
 
 
 def test_check_cover_cap():
-    # 24 coordinate planes over GF(3): the scan would list 2^24 > ENUM_CAP vectors
+    # 24 independent planes over GF(3) leave no coordinate row, so the
+    # answer needs no scan and no cap applies; one more plane leaves one
+    # row, and the scan would list (q-1)^r = 2^24 > ENUM_CAP vectors
     assert 2**24 > ENUM_CAP
-    coords = make_cover(3, 24, np.eye(24, dtype=np.int64))
+    eye = np.eye(24, dtype=np.int64)
+    assert check_cover(make_cover(3, 24, eye)) == (False, True, True)
+    extra = np.zeros((1, 24), dtype=np.int64)
+    extra[0, :2] = 1
     with pytest.raises(ResourceCapExceeded, match="exceeds enumeration cap"):
-        check_cover(coords)
+        check_cover(make_cover(3, 24, np.concatenate([eye, extra])))
 
 
 def test_check_cover_caps_the_scan_not_the_space():

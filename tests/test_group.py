@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,16 @@ def test_element_blocks_respects_block_size_and_order():
     # same fixed order regardless of block size
     again = next(iter(g.element_blocks(block_rows=10**6)))
     assert np.array_equal(again[: first.shape[0]], first)
+    assert np.array_equal(np.concatenate(list(g.element_blocks(block_rows=7))), again)
+    # the odometer over the transversals, level 0 slowest: u_0 * ... * u_k
+    # applies u_k first
+    odometer = []
+    for rows in itertools.product(*g.bsgs.transversal_rows()):
+        acc = rows[0]
+        for row in rows[1:]:
+            acc = acc[row]
+        odometer.append(acc)
+    assert np.array_equal(np.array(odometer), again)
 
 
 def test_element_rows_cap():

@@ -7,6 +7,9 @@ subgroup-lattice enumeration of the direct product.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from derange import subdirect
 from derange.corpus import enumerate_transitive, load_corpus
 from derange.derangements import TwoOrbitAction
-from derange.group import GroupError, PermutationGroup, ResourceCapExceeded
+from derange.group import BSGS, GroupError, PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm
 from derange.pipeline import verify_degree
 from derange.structure import normal_subgroups
@@ -27,7 +30,14 @@ from derange.subdirect import (
     quotient_isomorphisms,
     subdirect_derangement,
 )
-from oracles import conjugate, elements, reference_dedup_isomorphisms, reference_isomorphisms
+from oracles import (
+    SRC,
+    conjugate,
+    elements,
+    reference_dedup_isomorphisms,
+    reference_isomorphisms,
+    reference_materialize,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
@@ -48,6 +58,34 @@ A5 = PermutationGroup.from_cycles(5, [[(0, 1, 2, 3, 4)], [(0, 1, 2)]])
 
 def trivial(degree):
     return PermutationGroup(degree, [])
+
+
+def imprimitive_groups(degree):
+    """The imprimitive transitive groups of one degree: enumerated up to
+    degree 7, from the shipped fixtures above."""
+    if degree <= 7:
+        corpus = enumerate_transitive(degree)
+    else:
+        corpus = load_corpus(FIXTURES / f"degree{degree:02d}", degree)
+    return [e.group for e in corpus.entries if e.group.minimal_block_systems()]
+
+
+def sweep_descriptors(degree, scope):
+    """Every Goursat descriptor of the imprimitive same-degree pairs with
+    |G1 x G2| <= scope, normal subgroup lists shared per group."""
+    normals = {}
+
+    def normals_of(G):
+        if id(G) not in normals:
+            normals[id(G)] = normal_subgroups(G)
+        return normals[id(G)]
+
+    return [
+        d
+        for G1, G2 in itertools.combinations_with_replacement(imprimitive_groups(degree), 2)
+        if G1.order * G2.order <= scope
+        for d in goursat_enumerate(G1, G2, normals1=normals_of(G1), normals2=normals_of(G2))
+    ]
 
 
 def table_mult(model, x, y):
@@ -308,11 +346,7 @@ class TestQuotientIsomorphisms:
     def test_dedup_matches_reference_on_sweep(self, degree, scope):
         # every quotient pair of the imprimitive same-degree Goursat sweep
         # with |G1 x G2| <= scope
-        if degree <= 7:
-            corpus = enumerate_transitive(degree)
-        else:
-            corpus = load_corpus(FIXTURES / f"degree{degree:02d}", degree)
-        groups = [e.group for e in corpus.entries if e.group.minimal_block_systems()]
+        groups = imprimitive_groups(degree)
         normals = {id(G): normal_subgroups(G) for G in groups}
         searches = 0
         for G1, G2 in itertools.combinations_with_replacement(groups, 2):
@@ -534,6 +568,43 @@ class TestMaterialize:
         with pytest.raises(GroupError, match="not an isomorphism"):
             materialize_group(SubdirectDescriptor(d.q1, d.q2, bad))
 
+    def test_point_map_not_a_bijection_rejected(self):
+        # sending every point to the identity respects every Cayley-graph
+        # edge (the trivial homomorphism), so only the bijection check fails
+        d = next(d for d in goursat_enumerate(S3, S3) if d.quotient_order == 6)
+        bad = np.zeros_like(d.point_map)
+        gens = d.q1.generating_points
+        assert (d.q2.table[bad[gens]][:, bad] == bad[d.q1.table[gens]]).all()
+        with pytest.raises(GroupError, match="not an isomorphism"):
+            materialize_group(SubdirectDescriptor(d.q1, d.q2, bad))
+
+    def test_point_map_of_the_wrong_length_rejected(self):
+        d = next(d for d in goursat_enumerate(S3, S3) if d.quotient_order == 6)
+        with pytest.raises(GroupError, match="not an isomorphism"):
+            materialize_group(SubdirectDescriptor(d.q1, d.q2, d.point_map[:3]))
+
+    def test_chain_is_built_without_schreier_sims(self, monkeypatch):
+        descs = goursat_enumerate(S4, S3)  # builds the factor chains it needs
+        calls = []
+        real = BSGS._verify_level
+
+        def counted(chain, i):
+            calls.append(i)
+            return real(chain, i)
+
+        monkeypatch.setattr(BSGS, "_verify_level", counted)
+        groups = [materialize_group(d) for d in descs]
+        assert [G.order for G in groups] == [d.subgroup_order for d in descs]
+        assert calls == []
+        reference_materialize(descs[-1])
+        assert calls  # the counter sees a Schreier-Sims run
+
+    def test_coset_point_of_a_non_member_rejected(self):
+        q = quotient(A4, V4)
+        assert [q.point_of(r) for r in q.reps] == list(range(q.order))
+        with pytest.raises(GroupError, match="no coset"):
+            q.point_of(cyc(4, (0, 1)))  # odd, so outside A4
+
     def test_materialized_elements_satisfy_matching(self):
         for d in goursat_enumerate(S4, S3):
             G = materialize_group(d)
@@ -542,6 +613,49 @@ class TestMaterialize:
             for row in G.element_rows():
                 left, right = row[:4], row[4:] - 4
                 assert int(pm[point1[left.tobytes()]]) == point2[right.tobytes()]
+
+
+class TestChainFromFactors:
+    """The chain materialize_group builds from the factors' chains
+    against Schreier-Sims on the same product's generators."""
+
+    @pytest.mark.parametrize(
+        "degree, scope, products", [(4, 10**5, 62), (6, 10**5, 461), (10, 1200, 146)]
+    )
+    def test_matches_schreier_sims_on_sweep(self, degree, scope, products):
+        descs = sweep_descriptors(degree, scope)
+        assert len(descs) == products
+        for d in descs:
+            H, R = materialize_group(d), reference_materialize(d)
+            c1, c2 = d.q1.parent.bsgs, d.q2.kernel.bsgs
+            n1 = d.q1.parent.degree
+            assert H.order == R.order
+            assert H.is_subgroup_of(R) and R.is_subgroup_of(H)
+            assert H.bsgs.base == c1.base + [b + n1 for b in c2.base]
+            sizes = [len(t) for t in H.bsgs.transversal_rows()]
+            assert sizes == [len(t) for t in c1.transversal_rows() + c2.transversal_rows()]
+
+
+def test_materialize_and_sylow_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, about 1.5 MB of
+    # resident memory that the sweep's per-product work does not need
+    code = (
+        "import sys\n"
+        "from derange.derangements import TwoOrbitAction, sylow_certificate\n"
+        "from derange.group import PermutationGroup\n"
+        "from derange.subdirect import goursat_enumerate, materialize_group\n"
+        "D12 = PermutationGroup.from_cycles(6, [[(0, 1, 2, 3, 4, 5)], [(1, 5), (2, 4)]])\n"
+        "C6 = PermutationGroup.from_cycles(6, [[(0, 1, 2, 3, 4, 5)]])\n"
+        "for d in goursat_enumerate(D12, C6):\n"
+        "    sylow_certificate(TwoOrbitAction.of(materialize_group(d)), 3)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def brute_derangement(G):
