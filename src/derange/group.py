@@ -276,9 +276,6 @@ class PermutationGroup:
             other.bsgs.contains_rows(rows_of(self.generators, self.degree)).all()
         )
 
-    def same_group(self, other: "PermutationGroup") -> bool:
-        return self.order == other.order and self.is_subgroup_of(other)
-
     # --- orbits and actions ----------------------------------------------
 
     def orbits(self) -> list[np.ndarray]:

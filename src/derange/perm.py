@@ -215,6 +215,18 @@ def lex_sorted(rows: np.ndarray) -> np.ndarray:
     return rows[lex_order(rows)]
 
 
+def lex_keys(rows: np.ndarray) -> np.ndarray:
+    """One np.void key per row of an (m, n) uint8 row array, at any degree.
+
+    Keys compare bytewise, so they sort like the rows do
+    lexicographically, and lex-sorted rows are found by np.searchsorted
+    on their keys.  The keys are a view of the rows when those are
+    contiguous.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
 ROW_KEY_MAX_DEGREE = 15
 
 

@@ -1,10 +1,12 @@
 """Conjugacy classes, normal subgroups and Sylow subgroups.
 
-Class tables feed the normal-subgroup lattice: a normal subgroup is a
-union of classes, hence the join of the normal closures of the class
-representatives it contains.  They do not count anything: a class table
-lists the whole group first, so counting is a scan of the element
-blocks (``derangements.count_nonderangements``).
+A class table lists the whole group in lex order with the class of each
+element.  It feeds the normal-subgroup lattice, which is searched in
+class space: a normal subgroup is a union of classes closed under the
+tabled class products (``class_products``), so each member is a bitmask
+over the classes, and only a mask seen for the first time gets a
+stabilizer chain.  Class tables do not count anything: counting is a
+scan of the element blocks (``derangements.count_nonderangements``).
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ import numpy as np
 
 from ._kernels import row_orders
 from .group import BSGS, ENUM_CAP, GroupError, PermutationGroup, ResourceCapExceeded, factorize
-from .perm import Perm, conjugate_rows, lex_sorted, rows_of
+from .perm import Perm, conjugate_rows, lex_keys, lex_sorted, rows_of
 
 
 def p_part(n: int, p: int) -> int:
@@ -57,13 +59,25 @@ class ConjugacyClass:
 
 
 class ConjugacyClassTable:
-    """All conjugacy classes of one group, sorted by (size, rep)."""
+    """All conjugacy classes of one group, sorted by (size, rep), with the
+    group's elements as lex-sorted rows and, per row, the index of its
+    class in that order.
 
-    def __init__(self, group: PermutationGroup, classes: list[ConjugacyClass]):
+    The given class_of indexes the given classes; it is renumbered when
+    they are sorted.
+    """
+
+    def __init__(self, group: PermutationGroup, classes: list[ConjugacyClass],
+                 rows: np.ndarray, class_of: np.ndarray):
+        rank = sorted(range(len(classes)), key=lambda c: (classes[c].size, classes[c].rep.key))
         self.group = group
-        self.classes = sorted(classes, key=lambda c: (c.size, c.rep.key))
+        self.classes = [classes[c] for c in rank]
         if sum(c.size for c in self.classes) != group.order:
             raise GroupError("class sizes do not sum to the group order")
+        renumber = np.empty(len(rank), dtype=np.intp)
+        renumber[rank] = np.arange(len(rank))
+        self.rows = rows
+        self.class_of = renumber[class_of]
 
     def __len__(self):
         return len(self.classes)
@@ -76,24 +90,24 @@ def conjugacy_classes(group: PermutationGroup, cap: int = 10**6) -> ConjugacyCla
     """Conjugacy class table of a group of order at most cap.
 
     The group is listed (over cap it raises ResourceCapExceeded before
-    any orbit search) and walked in lex order; each element not yet seen
-    has its class closed exactly by orbit search, until the class
-    equation accounts for the whole order.
+    any orbit search) and sorted lexicographically.  The least element
+    not yet in a class is the least of its own class, which is closed
+    exactly by orbit search and located in the listing by its lex keys,
+    until every element has a class.
     """
-    rows = group.element_rows(cap=cap)
-    seen: set[bytes] = set()
+    rows = lex_sorted(group.element_rows(cap=cap))
+    keys = lex_keys(rows)
+    class_of = np.full(len(rows), -1, dtype=np.intp)
     classes = []
-    covered = 0
-    for el in lex_sorted(rows):
-        if covered == group.order:
-            break
-        if el.tobytes() in seen:
-            continue
-        orbit = class_orbit_rows(group, Perm(el, validate=False))
-        seen.update(r.tobytes() for r in orbit)
-        classes.append(ConjugacyClass(Perm(orbit[0].copy(), validate=False), len(orbit)))
-        covered += len(orbit)
-    return ConjugacyClassTable(group, classes)
+    x = 0
+    while x < len(rows):
+        rep = Perm(rows[x].copy(), validate=False)
+        orbit = class_orbit_rows(group, rep)
+        class_of[np.searchsorted(keys, lex_keys(orbit))] = len(classes)
+        classes.append(ConjugacyClass(rep, len(orbit)))
+        left = np.flatnonzero(class_of[x:] < 0)
+        x += int(left[0]) if left.size else len(rows)
+    return ConjugacyClassTable(group, classes, rows, class_of)
 
 
 # ---------------------------------------------------------------------------
@@ -124,65 +138,115 @@ def normal_closure(group: PermutationGroup, seeds) -> PermutationGroup:
     return PermutationGroup.from_chain(b)
 
 
+def class_products(table: ConjugacyClassTable) -> list[list[int]]:
+    """supp[i][j], the bitmask of the classes met by rep_i * C_j.
+
+    C_i * C_j is the union of the conjugates of rep_i * C_j, so it meets
+    the same classes; and a product of two normal subsets commutes, so
+    the table is symmetric and only j >= i is formed.  The products of
+    one rep with the rows of the classes from i on are located in the
+    lex-sorted listing, one rep at a time, so at most one listing's
+    worth of product rows is alive.
+    """
+    k = len(table)
+    keys = lex_keys(table.rows)
+    supp = [[0] * k for _ in range(k)]
+    for i, cls in enumerate(table):
+        later = table.class_of >= i
+        products = table.rows[later][:, cls.rep.images]
+        met = np.zeros((k, k), dtype=bool)
+        met[table.class_of[later], table.class_of[np.searchsorted(keys, lex_keys(products))]] = True
+        for j in range(i, k):
+            bits = np.packbits(met[j], bitorder="little").tobytes()
+            supp[i][j] = supp[j][i] = int.from_bytes(bits, "little")
+    return supp
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def normal_subgroups(group: PermutationGroup, class_cap: int = 10**6) -> list[PermutationGroup]:
     """Every normal subgroup, smallest order first.
 
-    A normal subgroup is a union of classes, hence the join of the
-    normal closures of the classes it contains; closing the single-class
-    closures under joins therefore finds all of them.
+    A normal subgroup is a union of classes closed under products, so
+    each one is a bitmask over the class table closed under
+    class_products: an atom is the closure of one class and the
+    identity, the join of two members the closure of their union,
+    nesting is a subset test and equal masks are equal subgroups.  Every
+    normal subgroup is the join of its classes' atoms, so closing the
+    atoms under joins finds them all.  The join rounds are semi-naive:
+    after the first, only pairs with a member new since the last round
+    are joined, and a nested pair is skipped, since its join is its
+    larger side.
 
-    The closure under joins is semi-naive: after the first round only
-    pairs with a member new since the previous round are joined, since
-    every old pair was joined a round earlier, and a pair where one side
-    contains the other is skipped, since its join is that side.  Neither
-    skip can lose a subgroup, so the kept generator lists are those of
-    joining every pair every round.
+    normal_closure builds a member's chain only when its mask is new: an
+    atom's from its class representative, a join's from both sides'
+    generators.  Atoms go in class order, and join rounds run over the
+    members listed by order, each order's in the order found, so each
+    kept generator list is the one of joining every pair every round and
+    keeping the first of equal groups.  A member whose order is not the
+    size of its classes raises GroupError.
     """
     table = conjugacy_classes(group, cap=class_cap)
-    atoms = []
-    for cls in table:
-        if cls.rep.is_identity():
-            continue
-        atoms.append(normal_closure(group, [cls.rep]))
-    lattice: dict[int, list[PermutationGroup]] = {}
+    sizes = [c.size for c in table]
+    supp = class_products(table)
+    one = 1 << int(table.class_of[0])  # the identity is the lex-least row
 
-    def add(h: PermutationGroup) -> bool:
-        bucket = lattice.setdefault(h.order, [])
-        for other in bucket:
-            if h.same_group(other):
-                return False
-        bucket.append(h)
+    def close(mask: int, done: int) -> int:
+        """The least product-closed union of classes containing mask,
+        given that the classes of done are closed among themselves."""
+        todo = mask & ~done
+        while todo:
+            i = todo.bit_length() - 1
+            todo ^= 1 << i
+            for j in _bits(mask):
+                new = supp[i][j] & ~mask
+                mask |= new
+                todo |= new
+        return mask
+
+    members = {one: PermutationGroup(group.degree, [], name="1")}
+    lattice: dict[int, list[int]] = {1: [one]}  # order -> masks, in the order found
+
+    def add(mask: int, seeds) -> bool:
+        if mask in members:
+            return False
+        h = normal_closure(group, seeds)
+        size = sum(sizes[c] for c in _bits(mask))
+        if h.order != size:
+            raise GroupError(f"normal closure of order {h.order} on classes of total size {size}")
+        members[mask] = h
+        lattice.setdefault(size, []).append(mask)
         return True
 
-    trivial = PermutationGroup(group.degree, [], name="1")
-    add(trivial)
-    for a in atoms:
-        add(a)
-    out = [h for bucket in lattice.values() for h in bucket]
-    fresh = {id(h) for h in out}
+    for i, cls in enumerate(table):
+        if 1 << i != one:
+            add(close(one | 1 << i, one), [cls.rep])
+    out = [m for bucket in lattice.values() for m in bucket]
+    fresh = set(out)
     while fresh:
         added = set()
         for i, a in enumerate(out):
             for b in out[i + 1:]:
-                if id(a) not in fresh and id(b) not in fresh:
+                if a not in fresh and b not in fresh:
                     continue
-                if _nested(a, b):
+                if a | b in (a, b):
                     continue
-                join = normal_closure(group, a.generators + b.generators)
-                if add(join):
-                    added.add(id(join))
+                join = close(a | b, a)
+                if add(join, members[a].generators + members[b].generators):
+                    added.add(join)
         fresh = added
-        out = [h for bucket in lattice.values() for h in bucket]
-    if not any(h.order == group.order for h in out):
-        out.append(PermutationGroup(group.degree, group.generators, name=group.name))
-    out.sort(key=lambda h: (h.order, [g.key for g in h.generators]))
-    return out
-
-
-def _nested(a: PermutationGroup, b: PermutationGroup) -> bool:
-    """True when one of a, b contains the other: Lagrange, then a sift."""
-    small, big = (a, b) if a.order <= b.order else (b, a)
-    return big.order % small.order == 0 and small.is_subgroup_of(big)
+        out = [m for bucket in lattice.values() for m in bucket]
+    groups = [members[m] for m in out]
+    groups.sort(key=lambda h: (h.order, [g.key for g in h.generators]))
+    return groups
 
 
 # ---------------------------------------------------------------------------

