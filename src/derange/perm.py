@@ -226,21 +226,3 @@ def lex_keys(rows: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(rows, dtype=np.uint8)
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
-
-ROW_KEY_MAX_DEGREE = 15
-
-
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """Base-n int64 key of each row of an (m, n) row array.
-
-    Keys sort like the rows do lexicographically.  They are exact only
-    for degree n <= 15, since 15^15 < 2^63 <= 16^16; a larger degree
-    raises GroupError before any work.
-    """
-    n = rows.shape[1]
-    if n > ROW_KEY_MAX_DEGREE:
-        raise GroupError(
-            f"row keys are exact only up to degree {ROW_KEY_MAX_DEGREE}, got degree {n}"
-        )
-    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return rows.astype(np.int64) @ weights

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import row_orders
 from .group import BSGS, ENUM_CAP, GroupError, PermutationGroup, ResourceCapExceeded, factorize
-from .perm import Perm, conjugate_rows, lex_keys, lex_sorted, rows_of
+from .perm import Perm, conjugate_rows, invert_rows, lex_keys, lex_sorted, rows_of
 
 
 def p_part(n: int, p: int) -> int:
@@ -25,31 +25,6 @@ def p_part(n: int, p: int) -> int:
 
 def is_prime(p: int) -> bool:
     return factorize(p) == [(p, 1)]
-
-
-def class_orbit_rows(group: PermutationGroup, rep: Perm) -> np.ndarray:
-    """The full conjugacy class of rep as lex-sorted uint8 rows.
-
-    Breadth-first orbit under conjugation by the generators; on a finite
-    set that closes the orbit under the whole group.
-    """
-    seen = {rep.key}
-    frontier = rep.images[None, :]
-    blocks = [frontier]
-    pairs = [(g, g.inverse()) for g in group.generators]
-    while frontier.size:
-        new = []
-        for g, g_inv in pairs:
-            for row in conjugate_rows(frontier, g, g_inv):
-                k = row.tobytes()
-                if k not in seen:
-                    seen.add(k)
-                    new.append(row)
-        if not new:
-            break
-        frontier = np.array(new, dtype=np.uint8)
-        blocks.append(frontier)
-    return lex_sorted(np.concatenate(blocks, axis=0))
 
 
 @dataclass(frozen=True)
@@ -92,19 +67,38 @@ def conjugacy_classes(group: PermutationGroup, cap: int = 10**6) -> ConjugacyCla
     The group is listed (over cap it raises ResourceCapExceeded before
     any orbit search) and sorted lexicographically.  The least element
     not yet in a class is the least of its own class, which is closed
-    exactly by orbit search and located in the listing by its lex keys,
-    until every element has a class.
+    by breadth-first orbit search under conjugation by the generators
+    (on a finite set that closes it under the whole group): a
+    frontier's conjugates by every generator are located in the listing
+    with one search on their lex keys, and the distinct ones not yet in
+    a class are marked and form the next frontier.
     """
     rows = lex_sorted(group.element_rows(cap=cap))
     keys = lex_keys(rows)
     class_of = np.full(len(rows), -1, dtype=np.intp)
+    gens = rows_of(group.generators, group.degree)
+    gens_inv = invert_rows(gens)
+    at = np.arange(len(gens))[None, :, None]
     classes = []
     x = 0
     while x < len(rows):
-        rep = Perm(rows[x].copy(), validate=False)
-        orbit = class_orbit_rows(group, rep)
-        class_of[np.searchsorted(keys, lex_keys(orbit))] = len(classes)
-        classes.append(ConjugacyClass(rep, len(orbit)))
+        c = len(classes)
+        class_of[x] = c
+        frontier = np.array([x])
+        size = 1
+        while frontier.size:
+            # conj[f, k] = gens[k]^-1 * rows[f] * gens[k]
+            conj = gens[at, rows[frontier][:, gens_inv]].reshape(-1, group.degree)
+            hit = np.searchsorted(keys, lex_keys(conj))
+            hit = hit[class_of[hit] < 0]
+            # each repeated index keeps the tag of just one of its
+            # positions, so the positions whose tag stuck are distinct
+            tag = -2 - np.arange(len(hit))
+            class_of[hit] = tag
+            frontier = hit[class_of[hit] == tag]
+            class_of[frontier] = c
+            size += frontier.size
+        classes.append(ConjugacyClass(Perm(rows[x].copy(), validate=False), size))
         left = np.flatnonzero(class_of[x:] < 0)
         x += int(left[0]) if left.size else len(rows)
     return ConjugacyClassTable(group, classes, rows, class_of)

@@ -17,8 +17,8 @@ import numpy as np
 
 from ._kernels import row_orders
 from .group import GroupError, PermutationGroup, ResourceCapExceeded, factorize
-from .perm import Perm, invert_rows, row_keys
-from .structure import class_orbit_rows
+from .perm import Perm, invert_rows, lex_keys, lex_order
+from .structure import conjugacy_classes
 
 ORDER_CAP = 6000
 
@@ -44,13 +44,14 @@ class ElementTable:
     """All elements of a small group in lex order, with index-space
     multiplication, inverses, element orders, and conjugacy class ids.
 
-    Elements are located by their row keys, so the group's degree must
-    be at most 15 (see perm.row_keys).
+    The listing and the class ids are those of the group's class table
+    (structure.conjugacy_classes), and elements are located by their lex
+    keys, so any degree is accepted.  The identity is the lex-least
+    element, so index 0.
     """
 
     group: PermutationGroup
     rows: np.ndarray = field(repr=False)
-    keys: np.ndarray = field(repr=False)
     mult: np.ndarray = field(repr=False)
     inv: np.ndarray = field(repr=False)
     orders: np.ndarray = field(repr=False)
@@ -61,32 +62,18 @@ class ElementTable:
         m = group.order
         if m > cap:
             raise ResourceCapExceeded(f"group order {m} over element table cap {cap}")
-        n = group.degree
-        rows = group.element_rows()
-        keys = row_keys(rows)
-        rows = rows[np.argsort(keys)]
-        keys = np.sort(keys)
-        # identity is the lex-least permutation, so index 0
-        if not (rows[0] == np.arange(n, dtype=np.uint8)).all():
-            raise GroupError("row encoding did not sort the identity first")
-
+        table = conjugacy_classes(group, cap=cap)
+        rows = table.rows
         dtype = np.int16 if m <= 32767 else np.int32
+        at = np.arange(m, dtype=dtype)
         mult = np.empty((m, m), dtype=dtype)
         for i in range(m):
-            # (elem_i * elem_j).images = rows[j][rows[i]], vectorized over j
-            mult[i] = np.searchsorted(keys, row_keys(rows[:, rows[i]]))
-        inv = np.searchsorted(keys, row_keys(invert_rows(rows))).astype(np.int64)
-        orders = row_orders(rows)
-
-        # class ids in order of first appearance along the sorted rows
-        class_id = np.full(m, -1, dtype=np.int64)
-        nxt = 0
-        for x in range(m):
-            if class_id[x] < 0:
-                members = class_orbit_rows(group, Perm(rows[x], validate=False))
-                class_id[np.searchsorted(keys, row_keys(members))] = nxt
-                nxt += 1
-        return cls(group, rows, keys, mult, inv, orders, class_id)
+            # (elem_i * elem_j).images = rows[j][rows[i]]; over all j these
+            # rows are the listing again, so sorting them numbers them
+            mult[i, lex_order(rows[:, rows[i]])] = at
+        inv = np.empty(m, dtype=np.int64)
+        inv[lex_order(invert_rows(rows))] = at
+        return cls(group, rows, mult, inv, row_orders(rows), table.class_of)
 
     @property
     def size(self) -> int:
@@ -97,9 +84,10 @@ class ElementTable:
 
     def index(self, g: Perm) -> int:
         """Index of an element of the group."""
-        key = row_keys(g.images[None, :])[0]
-        i = int(np.searchsorted(self.keys, key))
-        if i == self.size or self.keys[i] != key:
+        if g.degree != self.group.degree:
+            raise GroupError(f"permutation of degree {g.degree}, not the group's {self.group.degree}")
+        i = int(np.searchsorted(lex_keys(self.rows), lex_keys(g.images[None, :]))[0])
+        if i == self.size or (self.rows[i] != g.images).any():
             raise GroupError("permutation is not an element of the table's group")
         return i
 
@@ -172,11 +160,11 @@ def subgroup_classes(
     add(triv, [])
     frontier = [0]
 
-    # seed with one cyclic subgroup per conjugacy class of elements
-    for c in range(int(et.class_id.max()) + 1):
-        x = int(np.argmax(et.class_id == c))
-        if x == 0:
-            continue
+    # seed with one cyclic subgroup per conjugacy class of elements, from
+    # each class's first row, in listing order; the identity's is row 0
+    first = np.full(int(et.class_id.max()) + 1, m)
+    np.minimum.at(first, et.class_id, np.arange(m))
+    for x in np.sort(first)[1:].tolist():
         idx = et.closure([x])
         if add(idx, [x]):
             frontier.append(len(classes) - 1)

@@ -48,7 +48,7 @@ from derange.derangements import (
 )
 from derange.gf import FieldSpec
 from derange.group import Perm, PermutationGroup
-from derange.perm import row_keys
+from derange.perm import lex_keys
 from derange.pipeline import emit_report, verify_degree
 from derange.structure import normal_subgroups
 from derange.subdirect import goursat_enumerate, materialize_group
@@ -258,7 +258,7 @@ def _conjugate_inside(parent_rows, K: PermutationGroup, target_enc: np.ndarray) 
     mask = np.ones(len(T), dtype=bool)
     for g in K.generators:
         conj = np.take_along_axis(T, g.images[Tinv].astype(np.intp), axis=1)
-        e = row_keys(conj)
+        e = lex_keys(conj)
         pos = np.searchsorted(target_enc, e).clip(0, len(target_enc) - 1)
         mask &= target_enc[pos] == e
         if not mask.any():
@@ -280,11 +280,11 @@ def test_c07_goursat_matches_subgroup_scan(corpora):
         subdirect = []
         for c in subgroup_classes(prod, et):
             rows = et.rows[c.indices]
-            if len(np.unique(row_keys(rows[:, :n1]))) != G1.order:
+            if len(np.unique(lex_keys(rows[:, :n1]))) != G1.order:
                 continue
-            if len(np.unique(row_keys(rows[:, n1:]))) != G2.order:
+            if len(np.unique(lex_keys(rows[:, n1:]))) != G2.order:
                 continue
-            subdirect.append((c.order, np.sort(row_keys(rows))))
+            subdirect.append((c.order, np.sort(lex_keys(rows))))
         descs = goursat_enumerate(G1, G2)
         assert len(descs) == len(subdirect), (G1.name, G2.name)
         hits = []

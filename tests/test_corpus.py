@@ -5,6 +5,7 @@ counts and, for tiny degrees, against a raw exhaustive subgroup scan
 with no conjugacy shortcuts.
 """
 
+import hashlib
 import json
 import warnings
 from fractions import Fraction
@@ -78,6 +79,16 @@ class TestEnumerateTransitive:
         assert a.entries[0].name == "T4.1"
         for x, y in zip(a.entries, b.entries):
             assert [g.key for g in x.group.generators] == [g.key for g in y.group.generators]
+
+    def test_entries_pinned(self):
+        # the builtin corpus feeds every report below degree 8, so names,
+        # generators, pndr and primitivity must not move across changes
+        h = hashlib.sha256()
+        for n in range(2, 7):
+            for e in corpus_for(n):
+                gens = [g.images.tolist() for g in e.group.generators]
+                h.update(repr((e.name, gens, str(e.pndr), e.primitive)).encode())
+        assert h.hexdigest() == "112f48347829b919ca108537a283ef9cb5ba5c6a5d10cf4d87f217f37fee6778"
 
     def test_pndr_values(self):
         by_order = {}

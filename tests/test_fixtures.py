@@ -16,6 +16,7 @@ from derange.corpus import load_corpus
 from derange.pipeline import emit_report, verify_degree
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 COUNTS = {8: 50, 9: 34, 10: 45}
 IMPRIMITIVE = {8: 43, 9: 23, 10: 36}
@@ -110,3 +111,16 @@ class TestVerifyOverFixtures:
         assert runs[0] == runs[1]
         doc = json.loads(runs[0])
         assert doc["verdict"] == "verified"
+
+
+def test_tool_rebuilds_degree8_byte_for_byte(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import make_fixtures
+
+    monkeypatch.setattr(make_fixtures, "FIXTURE_ROOT", tmp_path)
+    make_fixtures.build_degree(8, force=True)
+    shipped = sorted((FIXTURES / "degree08").glob("*.json"))
+    built = sorted((tmp_path / "degree08").glob("*.json"))
+    assert [f.name for f in built] == [f.name for f in shipped]
+    for want, got in zip(shipped, built):
+        assert got.read_bytes() == want.read_bytes(), got.name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from derange import GroupError, Perm, PermError
+from derange import Perm, PermError
 from derange._kernels import fix_any_count
 from derange.perm import (
     MAX_DEGREE,
@@ -11,7 +11,6 @@ from derange.perm import (
     least_derangement,
     lex_keys,
     lex_sorted,
-    row_keys,
     rows_of,
     rows_then,
 )
@@ -177,17 +176,6 @@ def test_rows_fix_any():
     # only the first row fixes 2 or 3; the first and third fix some point
     assert fix_any_count(rows, np.array([2, 3])) == 1
     assert fix_any_count(rows, np.arange(4)) == 2
-
-
-def test_row_keys_sort_like_rows_up_to_degree_15():
-    rng = np.random.default_rng(5)
-    perms = [rng.permutation(15) for _ in range(200)] + [np.arange(15)[::-1]]
-    rows = np.array(perms, dtype=np.uint8)
-    by_key = rows[np.argsort(row_keys(rows))]
-    assert [r.tobytes() for r in by_key] == sorted(r.tobytes() for r in rows)
-    assert [r.tobytes() for r in lex_sorted(rows)] == sorted(r.tobytes() for r in rows)
-    with pytest.raises(GroupError, match="degree 15"):
-        row_keys(np.zeros((1, 16), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("degree", [9, 16, 125, 250])

@@ -40,6 +40,12 @@ class TestElementTable:
         with pytest.raises(GroupError):
             ElementTable.of(A5).index(Perm.from_cycles(5, (0, 1)))
 
+    def test_index_rejects_another_degree(self):
+        with pytest.raises(GroupError, match="degree 5"):
+            ElementTable.of(S4).index(Perm([0, 1, 2, 4, 3]))
+        with pytest.raises(GroupError, match="degree 7"):
+            ElementTable.of(PermutationGroup.symmetric(6)).index(Perm([0, 1, 6, 3, 5, 2, 4]))
+
     def test_mult_matches_perm_product(self):
         et = ElementTable.of(S4)
         rng = np.random.default_rng(5)
@@ -84,12 +90,11 @@ class TestElementTable:
             want = closure_rows(6, et.rows[gens])
             assert (et.rows[et.closure(gens)] == want).all()
 
-    def test_degree_past_row_key_envelope_rejected(self):
+    def test_degree_16_group(self):
         c16 = PermutationGroup.from_cycles(16, [[tuple(range(16))]])
-        with pytest.raises(GroupError, match="degree 15"):
-            ElementTable.of(c16)
-        with pytest.raises(GroupError, match="degree 15"):
-            subgroup_classes(c16)
+        et = ElementTable.of(c16)
+        assert [et.index(g) for g in c16.generators] == [1]
+        assert [c.order for c in subgroup_classes(c16, et)] == [1, 2, 4, 8, 16]
 
     def test_order_cap(self):
         with pytest.raises(ResourceCapExceeded):
@@ -117,7 +122,7 @@ class TestSubgroupClasses:
         cls = subgroup_classes(A5)
         assert sorted(c.order for c in cls) == [1, 2, 3, 4, 5, 6, 10, 12, 60]
 
-    def test_cyclic_group_at_row_key_envelope(self):
+    def test_cyclic_group_of_degree_15(self):
         c15 = PermutationGroup.from_cycles(15, [[tuple(range(15))]])
         assert [c.order for c in subgroup_classes(c15)] == [1, 3, 5, 15]
 

@@ -43,8 +43,8 @@ import numpy as np
 from derange.corpus import enumerate_transitive, group_json
 from derange.gf import FieldSpec
 from derange.group import Perm, PermutationGroup
-from derange.perm import row_keys
-from derange.subdirect import goursat_enumerate, materialize_group
+from derange.perm import lex_keys, lex_sorted
+from derange.subdirect import goursat_enumerate
 from derange.subgroups import ElementTable, subgroup_classes
 
 EXPECTED_TOTAL = {8: 50, 9: 34, 10: 45}
@@ -137,15 +137,26 @@ def block_swap_extensions() -> list[tuple[PermutationGroup, str]]:
     Tidx = T.astype(np.intp)
     Tinv = np.empty_like(T)
     np.put_along_axis(Tinv, Tidx, np.arange(10, dtype=np.uint8), axis=1)
-    t_sq = row_keys(np.take_along_axis(T, Tidx, axis=1))
+    t_sq = lex_keys(np.take_along_axis(T, Tidx, axis=1))
 
+    def lift(a: Perm, b: Perm) -> Perm:
+        return Perm(np.concatenate([a.images, b.images + 5]))
+
+    id5 = Perm.identity(5)
     out = []
     for entry in enumerate_transitive(5):
         R = entry.group
         for di, desc in enumerate(goursat_enumerate(R, R)):
-            K = materialize_group(desc)
+            # K's generators, in the order every written fixture was
+            # built with: lifted quotient generators, then N1's, then N2's
+            q1, q2 = desc.q1, desc.q2
+            k_gens = [lift(q1.reps[p], q2.reps[desc.point_map[p]]) for p in q1.generating_points]
+            k_gens += [lift(g, id5) for g in q1.kernel.generators]
+            k_gens += [lift(id5, g) for g in q2.kernel.generators]
+            K = PermutationGroup(10, k_gens)
+            assert K.order == desc.subgroup_order
             k_rows = K.element_rows()
-            k_enc = np.sort(row_keys(k_rows))
+            k_enc = np.sort(lex_keys(k_rows))
 
             def member(e):
                 pos = np.searchsorted(k_enc, e).clip(0, len(k_enc) - 1)
@@ -154,12 +165,12 @@ def block_swap_extensions() -> list[tuple[PermutationGroup, str]]:
             mask = member(t_sq)
             for g in K.generators:
                 conj = np.take_along_axis(T, g.images[Tinv].astype(np.intp), axis=1)
-                mask &= member(row_keys(conj))
+                mask &= member(lex_keys(conj))
                 if not mask.any():
                     break
             seen = set()
             for i in np.flatnonzero(mask):
-                coset_key = int(row_keys(T[i][k_rows]).min())
+                coset_key = lex_sorted(T[i][k_rows])[0].tobytes()
                 if coset_key in seen:
                     continue
                 seen.add(coset_key)
@@ -380,7 +391,7 @@ def conjugate_in_sn(g1: PermutationGroup, g2: PermutationGroup,
     if g1.order != g2.order:
         return False
     n = g1.degree
-    enc2 = np.sort(row_keys(g2.element_rows()))
+    enc2 = np.sort(lex_keys(g2.element_rows()))
     gens = [g.images for g in g1.generators]
     ar = np.arange(n, dtype=np.uint8)
     for lo in range(0, len(perms), chunk):
@@ -391,7 +402,7 @@ def conjugate_in_sn(g1: PermutationGroup, g2: PermutationGroup,
         mask = np.ones(len(T), dtype=bool)
         for gi in gens:
             conj = np.take_along_axis(T, gi[Tinv].astype(np.intp), axis=1)
-            e = row_keys(conj)
+            e = lex_keys(conj)
             pos = np.searchsorted(enc2, e).clip(0, len(enc2) - 1)
             mask &= enc2[pos] == e
             if not mask.any():
