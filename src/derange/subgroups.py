@@ -5,7 +5,10 @@ trivial group by adjoining one element of prime-power order at a time
 (any element is the product of its own prime-power powers, so a proper
 overgroup always holds such an element outside the smaller group).
 Candidates within one double coset H g H generate the same extension,
-so one per double coset suffices.
+and for n in the normalizer N(H) the conjugate g^n gives <H, g>^n, a
+conjugate extension; so one candidate per N(H)-orbit of double cosets
+suffices.  Taking the first of each orbit in index order finds the same
+classes and representatives as trying every double coset.
 
 Everything runs in element-index space over a precomputed
 multiplication table; the parent order cap keeps the table small.
@@ -127,9 +130,27 @@ def subgroup_classes(
     cap: int = ORDER_CAP,
 ) -> list[SubgroupClass]:
     """Every subgroup of the parent, one per conjugacy class, sorted by
-    (order, element indices).  Includes the trivial group and the parent."""
+    (order, element indices).  Includes the trivial group and the parent.
+
+    Each frontier subgroup H is extended by prime-power candidates g in
+    increasing index order.  After g is tried, its whole N(H)-orbit of
+    double cosets H g^n H is dropped: H^n = H gives <H, g^n> = <H, g>^n,
+    a conjugate that the dedup would reject anyway.  The tried g is the
+    least of its orbit still in the pool, so the classes found, their
+    representatives and their generator lists are those of trying every
+    double coset.
+
+    A table passed in must be the parent's: a table of another group
+    raises GroupError.
+    """
     et = table if table is not None else ElementTable.of(parent, cap)
     m = et.size
+    if et.group.degree != parent.degree or m != parent.order:
+        raise GroupError(
+            f"element table of a degree-{et.group.degree} group of order {m}, "
+            f"not the parent's degree {parent.degree} and order {parent.order}"
+        )
+    parent_gens = [et.index(g) for g in parent.generators]
     prime_power_orders = [o for o in sorted(set(et.orders.tolist())) if len(factorize(o)) == 1]
     pp_mask = np.isin(et.orders, prime_power_orders)
 
@@ -179,17 +200,22 @@ def subgroup_classes(
             in_h = np.zeros(m, dtype=bool)
             in_h[h_idx] = True
             pool = pp_mask & ~in_h
+            norm = et.conjugators(H.gen_indices, h_idx)
+            norm_inv = et.inv[norm]
             while pool.any():
                 g = int(np.argmax(pool))
                 idx = et.closure(H.gen_indices + [g])
                 if add(idx, H.gen_indices + [g]):
                     fresh.append(len(classes) - 1)
-                hg = et.mult[h_idx, g]
-                pool[et.mult[hg[:, None], h_idx[None, :]].ravel()] = False
+                # g's N(H)-orbit is closed under conjugation by H, so
+                # H x H = H x over it and one product clears the orbit
+                orbit = np.zeros(m, dtype=bool)
+                orbit[et.mult[et.mult[norm_inv, g], norm]] = True
+                pool[et.mult[h_idx[:, None], np.flatnonzero(orbit)[None, :]].ravel()] = False
         frontier = fresh
 
     whole = np.arange(m, dtype=np.int64)
-    add(whole, [et.index(g) for g in parent.generators])
+    add(whole, parent_gens)
 
     classes.sort(key=lambda c: (c.order, c.indices.tobytes()))
     return classes

@@ -3,11 +3,12 @@
 Everything here trades speed for obvious correctness: no conjugacy
 shortcuts, no lattice pruning, just exhaustive closure growth.  Also the
 one-element helpers the tests share (a group's elements as ``Perm``s,
-conjugation, the derangement test, equality of two subgroups, a block
-system's blocks and a class table's sizes), the class-sum count of
-non-derangements that the scan must match, the reference versions of
-the stabilizer chain, the normal closure, the normal-subgroup lattice,
-the quotient isomorphism search and its dedup pass that the library's
+conjugation, the derangement test, equality of two subgroups, the direct
+product of two groups, a block system's blocks and a class table's
+sizes), the class-sum count of non-derangements that the scan must
+match, the reference versions of the stabilizer chain, the normal
+closure, the normal-subgroup lattice, the subgroup-lattice scan, the
+quotient isomorphism search and its dedup pass that the library's
 faster ones must match output for output, the normal-subgroup orders
 found by a sympy scan of class unions, a subdirect product grown by
 Schreier-Sims from its generators (the group the chain built from the
@@ -22,10 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from derange.group import PermutationGroup, ResourceCapExceeded
+from derange.group import PermutationGroup, ResourceCapExceeded, factorize
 from derange.perm import Perm, fixes_any, lex_sorted, rows_of
 from derange.structure import conjugacy_classes, normal_closure
 from derange.subdirect import quotient_isomorphisms
+from derange.subgroups import SubgroupClass
 
 
 def elements(group) -> list[Perm]:
@@ -240,6 +242,58 @@ def subgroup_scan(G):
     return list(seen.values())
 
 
+def reference_subgroup_classes(parent, et) -> list[SubgroupClass]:
+    """``subgroup_classes`` with the double-coset prune alone: after each
+    candidate g, only H g H leaves the pool, never its conjugates under
+    the normalizer of H.  The library's scan must give the same classes,
+    representatives and generator lists, in the same order."""
+    m = et.size
+    prime_power_orders = [o for o in sorted(set(et.orders.tolist())) if len(factorize(o)) == 1]
+    pp_mask = np.isin(et.orders, prime_power_orders)
+    classes = []
+    buckets = {}
+    seen_sets = set()
+
+    def add(idx, gens):
+        key = idx.tobytes()
+        if key in seen_sets:
+            return False
+        seen_sets.add(key)
+        bucket = buckets.setdefault((len(idx), np.sort(et.class_id[idx]).tobytes()), [])
+        if any(et.conjugators(gens, classes[ci].indices).size for ci in bucket):
+            return False
+        bucket.append(len(classes))
+        classes.append(SubgroupClass(idx, gens))
+        return True
+
+    add(np.array([0], dtype=np.int64), [])
+    frontier = [0]
+    first = np.full(int(et.class_id.max()) + 1, m)
+    np.minimum.at(first, et.class_id, np.arange(m))
+    for x in np.sort(first)[1:].tolist():
+        if add(et.closure([x]), [x]):
+            frontier.append(len(classes) - 1)
+    while frontier:
+        fresh = []
+        for ci in frontier:
+            H = classes[ci]
+            if 2 * H.order >= m:
+                continue
+            h_idx = H.indices
+            pool = pp_mask.copy()
+            pool[h_idx] = False
+            while pool.any():
+                g = int(np.argmax(pool))
+                if add(et.closure(H.gen_indices + [g]), H.gen_indices + [g]):
+                    fresh.append(len(classes) - 1)
+                hg = et.mult[h_idx, g]
+                pool[et.mult[hg[:, None], h_idx[None, :]].ravel()] = False
+        frontier = fresh
+    add(np.arange(m, dtype=np.int64), [et.index(g) for g in parent.generators])
+    classes.sort(key=lambda c: (c.order, c.indices.tobytes()))
+    return classes
+
+
 def are_conjugate(G, H, K) -> bool:
     """True when H^y = K for some y in G, by scanning all of G."""
     if H.order != K.order:
@@ -253,6 +307,17 @@ def are_conjugate(G, H, K) -> bool:
 
 def _combine(g1: Perm, g2: Perm) -> Perm:
     return Perm(np.concatenate([g1.images, g2.images + g1.degree]), validate=False)
+
+
+def direct_product(G1, G2) -> PermutationGroup:
+    """G1 x G2 acting on G1's points followed by G2's, shifted past them."""
+    id1, id2 = Perm.identity(G1.degree), Perm.identity(G2.degree)
+    gens = [_combine(g, id2) for g in G1.generators]
+    gens += [_combine(id1, h) for h in G2.generators]
+    P = PermutationGroup(G1.degree + G2.degree, gens or [_combine(id1, id2)])
+    if P.order != G1.order * G2.order:
+        raise ValueError(f"order {P.order} is not {G1.order} * {G2.order}")
+    return P
 
 
 def reference_materialize(desc) -> PermutationGroup:

@@ -47,13 +47,13 @@ from derange.derangements import (
     sylow_certificate,
 )
 from derange.gf import FieldSpec
-from derange.group import Perm, PermutationGroup
+from derange.group import PermutationGroup
 from derange.perm import lex_keys
 from derange.pipeline import emit_report, verify_degree
 from derange.structure import normal_subgroups
 from derange.subdirect import goursat_enumerate, materialize_group
 from derange.subgroups import ElementTable, subgroup_classes
-from oracles import class_sum_nonderangements, derange_process
+from oracles import class_sum_nonderangements, derange_process, direct_product
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
@@ -235,20 +235,6 @@ def test_c06_two_orbit_pndr_subadditivity(corpora, two_orbit_sweep):
             f"{checked} two-orbit groups, {past_prune} past the prune")
 
 
-def _combine(g1: Perm, g2: Perm) -> Perm:
-    return Perm(np.concatenate([g1.images, g2.images + g1.degree]), validate=False)
-
-
-def _direct_product(G1: PermutationGroup, G2: PermutationGroup) -> PermutationGroup:
-    id1, id2 = Perm.identity(G1.degree), Perm.identity(G2.degree)
-    gens = [_combine(g, id2) for g in G1.generators]
-    gens += [_combine(id1, h) for h in G2.generators]
-    gens = gens or [_combine(id1, id2)]
-    P = PermutationGroup(G1.degree + G2.degree, gens)
-    assert P.order == G1.order * G2.order
-    return P
-
-
 def _conjugate_inside(parent_rows, K: PermutationGroup, target_enc: np.ndarray) -> bool:
     """Does some element of the parent conjugate K onto the target set?"""
     T = parent_rows
@@ -274,7 +260,7 @@ def test_c07_goursat_matches_subgroup_scan(corpora):
     for G1, G2 in combinations_with_replacement(groups, 2):
         if G1.order * G2.order > 5000:
             continue
-        prod = _direct_product(G1, G2)
+        prod = direct_product(G1, G2)
         et = ElementTable.of(prod)
         n1 = G1.degree
         subdirect = []

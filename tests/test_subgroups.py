@@ -8,14 +8,19 @@ they pin both the completeness and the conjugacy dedup at once.
 import os
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
+import derange.subgroups
+from derange.corpus import enumerate_transitive
 from derange.group import GroupError, PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm
 from derange.subgroups import ElementTable, subgroup_classes
-from oracles import SRC, closure_rows, conjugate, elements
+from oracles import (
+    SRC, closure_rows, conjugate, direct_product, elements, reference_subgroup_classes,
+)
 
 
 def cycle_lengths(p):
@@ -23,7 +28,9 @@ def cycle_lengths(p):
 
 
 S4 = PermutationGroup.symmetric(4)
+A4 = PermutationGroup.from_cycles(4, [[(0, 1, 2)], [(1, 2, 3)]])
 A5 = PermutationGroup.from_cycles(5, [[(0, 1, 2, 3, 4)], [(0, 1, 2)]])
+C16 = PermutationGroup.from_cycles(16, [[tuple(range(16))]])
 
 
 class TestElementTable:
@@ -91,10 +98,9 @@ class TestElementTable:
             assert (et.rows[et.closure(gens)] == want).all()
 
     def test_degree_16_group(self):
-        c16 = PermutationGroup.from_cycles(16, [[tuple(range(16))]])
-        et = ElementTable.of(c16)
-        assert [et.index(g) for g in c16.generators] == [1]
-        assert [c.order for c in subgroup_classes(c16, et)] == [1, 2, 4, 8, 16]
+        et = ElementTable.of(C16)
+        assert [et.index(g) for g in C16.generators] == [1]
+        assert [c.order for c in subgroup_classes(C16, et)] == [1, 2, 4, 8, 16]
 
     def test_order_cap(self):
         with pytest.raises(ResourceCapExceeded):
@@ -174,6 +180,52 @@ class TestSubgroupClasses:
         cls = subgroup_classes(A5)
         assert cls[0].order == 1
         assert cls[-1].order == 60
+
+    def test_table_of_another_group_is_rejected(self):
+        # same degree, but Sym(4)'s table would list Sym(4)'s classes
+        with pytest.raises(GroupError, match="order 24"):
+            subgroup_classes(A4, ElementTable.of(S4))
+        with pytest.raises(GroupError, match="degree-5"):
+            subgroup_classes(S4, ElementTable.of(A5))
+
+    @pytest.mark.parametrize("n,closures", [(5, 88), (6, 569)])
+    def test_one_closure_per_normalizer_orbit(self, monkeypatch, n, closures):
+        # trying every double coset H g H took 245 and 1961 closures
+        calls = []
+        closure = derange.subgroups.table_closure
+
+        def counted_closure(mult, gens):
+            calls.append(gens)
+            return closure(mult, gens)
+
+        monkeypatch.setattr(derange.subgroups, "table_closure", counted_closure)
+        subgroup_classes(PermutationGroup.symmetric(n))
+        assert len(calls) == closures
+
+
+# the direct products of transitive groups of degree 2-5 that
+# test_c07_goursat_matches_subgroup_scan scans, up to this order
+PRODUCT_ORDER_CAP = 360
+
+
+def test_subgroup_classes_match_reference():
+    # dropping each candidate's whole normalizer orbit changes nothing:
+    # same classes, representatives and generator lists, in order
+    groups = [e.group for n in range(2, 6) for e in enumerate_transitive(n).entries]
+    products = [
+        direct_product(G1, G2)
+        for G1, G2 in combinations_with_replacement(groups, 2)
+        if G1.order * G2.order <= PRODUCT_ORDER_CAP
+    ]
+    assert len(products) == 71
+    parents = [PermutationGroup.symmetric(n) for n in range(2, 7)] + [A5, C16] + products
+    for P in parents:
+        et = ElementTable.of(P)
+        got = subgroup_classes(P, et)
+        want = reference_subgroup_classes(P, et)
+        assert len(got) == len(want), P.generators
+        for a, b in zip(got, want):
+            assert (a.indices == b.indices).all() and a.gen_indices == b.gen_indices
 
 
 class TestProductScan:
