@@ -1,14 +1,16 @@
 """Numpy scans behind the cover toolkit and the row helpers.
 
-Each scan is exact integer work over fixed-width arrays, visited in
-chunks of _CHUNK rows: vectors over GF(q)^d, and fixed-point and
-element-order scans over (m, degree) permutation rows.  Only
-good_count_scan, the oracle for the closed-form count, visits all q^d
-vectors; cover_all_scan first changes basis with gauss_jordan, the one
-elimination over GF(q), which also gives the rank, and visits (q-1)^r
-of them, raising ResourceCapExceeded over ENUM_CAP.  The four scans are
-bound by the layer tracer in ``perfbench/spans.py``; decode_vectors is
-the one base-q decoder, shared with ``gf.FieldSpec.vector_space``.
+Each scan is exact integer work over fixed-width arrays: vectors over
+GF(q)^d, and fixed-point and element-order scans over (m, degree)
+permutation rows.  Only good_count_scan, the oracle for the closed-form
+count, forms every a.v of the q^d vectors, one addition per vector;
+cover_all_scan first changes basis with gauss_jordan, the one
+elimination over GF(q), which also gives the rank, and tests (q-1)^r
+vectors, raising ResourceCapExceeded over ENUM_CAP.  Both vector scans
+tabulate the partial sums of a head and a tail of the coordinates once
+and add them in chunks of at most _CHUNK sums.  The four scans
+are bound by the layer tracer in ``perfbench/spans.py``; decode_vectors
+is the one base-q decoder, shared with ``gf.FieldSpec.vector_space``.
 """
 
 import numpy as np
@@ -62,16 +64,48 @@ def gauss_jordan(field, matrix) -> tuple[np.ndarray, list[int]]:
     return np.array(m, dtype=np.int64).reshape(shape), pivots
 
 
+def _tail_length(n: int, k: int, rows: int) -> int:
+    """Largest t <= k with rows * n^t <= _CHUNK: how many trailing
+    coordinates of the n^k vectors a scan tabulates for its rows."""
+    t = 0
+    while t < k and rows * n ** (t + 1) <= _CHUNK:
+        t += 1
+    return t
+
+
+def _partial_sums(field, coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """a.v for every row a of the (s, k) coefficients and every v in
+    values^k, in the odometer order of decode_vectors: shape
+    (s, len(values)^k), one add gather per coordinate for all rows."""
+    acc = np.zeros((len(coeffs), 1), dtype=np.int64)
+    for col in coeffs.T:
+        terms = field.mul[col[:, None], values[None, :]]
+        acc = field.add[acc[:, :, None], terms[:, None, :]].reshape(len(coeffs), -1)
+    return acc
+
+
 def good_count_scan(field, d: int, normal) -> int:
     """Vectors v with a.v = 0 and every coordinate nonzero, counted by an
-    exhaustive scan over all q^d vectors; the dumb oracle."""
+    exhaustive scan: every one of the q^d dot products is formed and
+    tested; the dumb oracle.
+
+    The partial sums of the last t coordinates (q^t <= _CHUNK) and of
+    the first d - t are tabulated once, so each a.v is one addition of a
+    head sum to a tail sum, taken in chunks of at most _CHUNK."""
     q = field.q
-    total = q**d
+    values = np.arange(q)
+    normal = np.asarray(normal, dtype=np.int64).reshape(1, d)
+    t = _tail_length(q, d, 1)
+    tail = _partial_sums(field, normal[:, d - t :], values)[0]
+    head = _partial_sums(field, normal[:, : d - t], values)[0]
+    tail_ok = decode_vectors(0, len(tail), q, t).all(axis=1)  # every coordinate nonzero
+    head_ok = decode_vectors(0, len(head), q, d - t).all(axis=1)
+    step = _CHUNK // len(tail)
     count = 0
-    for start in range(0, total, _CHUNK):
-        vecs = decode_vectors(start, min(start + _CHUNK, total), q, d)
-        acc = field.dot(normal, vecs)
-        count += int(((acc == 0) & (vecs != 0).all(axis=1)).sum())
+    for start in range(0, len(head), step):
+        sums = field.add[head[start : start + step, None], tail[None, :]]
+        hits = (sums == 0) & head_ok[start : start + step, None] & tail_ok[None, :]
+        count += int(np.count_nonzero(hits))
     return count
 
 
@@ -86,11 +120,15 @@ def cover_all_scan(field, d: int, normals) -> tuple[bool, int]:
     coordinate and every c.w is nonzero: only the (q-1)^r vectors w in
     {1..q-1}^r are scanned, against the s - r coordinate rows, and over
     ENUM_CAP of them raise ResourceCapExceeded.  With no coordinate rows
-    nothing is scanned, so no cap applies.
+    nothing is scanned, so no cap applies.  As in good_count_scan, the
+    head and tail partial sums c.w of all rows are tabulated together,
+    and each chunk of c.w is one addition per row and vector; the scan
+    stops at the first chunk with a vector off every plane.
     """
     reduced, pivots = gauss_jordan(field, np.asarray(normals, dtype=np.int64).T)
     r = len(pivots)
-    coords = np.delete(reduced[:r], pivots, axis=1).T
+    free = [j for j in range(reduced.shape[1]) if j not in pivots]
+    coords = reduced[:r, free].T
     if not len(coords):
         return False, r  # w = (1, ..., 1) is off every pivot plane, if there are any
     total = (field.q - 1) ** r
@@ -98,9 +136,14 @@ def cover_all_scan(field, d: int, normals) -> tuple[bool, int]:
         raise ResourceCapExceeded(f"(q-1)^r = {total} exceeds enumeration cap {ENUM_CAP}")
     if not r:
         return True, r  # only zero normals, and a zero normal vanishes everywhere
-    for start in range(0, total, _CHUNK):
-        w = decode_vectors(start, min(start + _CHUNK, total), field.q - 1, r) + 1
-        if not (field.dot(coords[None, :, :], w[:, None, :]) == 0).any(axis=1).all():
+    values = np.arange(1, field.q)
+    t = _tail_length(field.q - 1, r, len(coords))
+    tail = _partial_sums(field, coords[:, r - t :], values)
+    head = _partial_sums(field, coords[:, : r - t], values)
+    step = max(1, _CHUNK // tail.size)
+    for start in range(0, head.shape[1], step):
+        sums = field.add[head[:, start : start + step, None], tail[:, None, :]]
+        if not (sums == 0).any(axis=0).all():
             return False, r
     return True, r
 

@@ -61,9 +61,20 @@ class Hyperplane:
         return Hyperplane(tup)
 
 
+def _field_coords(field: FieldSpec, normal) -> tuple[int, ...]:
+    """The normal's coordinates, each an element 0..q-1 of the field, or
+    FieldError: a coordinate outside is never wrapped into the field."""
+    vec = tuple(int(x) for x in normal)
+    bad = [x for x in vec if not 0 <= x < field.q]
+    if bad:
+        raise FieldError(f"normal coordinate {bad[0]} is not an element of GF({field.q})")
+    return vec
+
+
 def canonical_normal(field: FieldSpec, normal) -> tuple[int, ...]:
-    """Scale so the first nonzero coordinate is 1."""
-    vec = [int(x) for x in normal]
+    """Scale so the first nonzero coordinate is 1; a coordinate outside
+    0..q-1 raises FieldError."""
+    vec = _field_coords(field, normal)
     for x in vec:
         if x:
             s = int(field.inv[x])
@@ -136,6 +147,7 @@ def good_count_bruteforce(a: Hyperplane, field: FieldSpec, d: int | None = None)
         d = len(a.normal)
     if len(a.normal) != d:
         raise FieldError("normal length does not match dimension")
+    _field_coords(field, a.normal)
     _check_space_cap(field.q, d)
     return good_count_scan(field, d, np.array(a.normal, dtype=np.int64))
 
@@ -148,14 +160,14 @@ def min_cover_search(q: int, d: int, budget: int = SEARCH_BUDGET) -> tuple[int, 
 
     _check_space_cap(q, d)  # all_canonical_normals lists GF(q)^d
     field = FieldSpec(q)
-    normals = all_canonical_normals(field, d)
+    planes = [Hyperplane.make(n) for n in all_canonical_normals(field, d)]
     examined = 0
-    for size in range(1, len(normals) + 1):
-        for combo in combinations(normals, size):
+    for size in range(1, len(planes) + 1):
+        for combo in combinations(planes, size):
             examined += 1
             if examined > budget:
                 raise ResourceCapExceeded(f"cover search exceeded budget {budget}")
-            cover = CoverInstance(field, d, [Hyperplane.make(n) for n in combo])
+            cover = CoverInstance(field, d, list(combo))
             covers_all, trivial, bound_ok = check_cover(cover)
             if covers_all and trivial:
                 if not bound_ok:
@@ -173,7 +185,6 @@ def tight_cover_construct(q: int, d: int) -> CoverInstance:
     """
     if d < 2:
         raise FieldError(f"need d >= 2, got {d}")
-    field = FieldSpec(q)
     normals = []
     for i in range(d):
         e = [0] * d

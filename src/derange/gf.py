@@ -83,56 +83,29 @@ class FieldSpec:
             if not _is_irreducible(self.modulus, p):
                 raise FieldError("pinned modulus is reducible; tables would be wrong")
         self.add, self.mul = self._build_tables()
-        self.neg = np.array([self._find_neg(x) for x in range(q)], dtype=np.int64)
-        self.inv = np.array([self._find_inv(x) for x in range(q)], dtype=np.int64)
+        self.neg = np.argmax(self.add == 0, axis=1)
+        self.inv = np.argmax(self.mul == 1, axis=1)
+        self.inv[0] = 0  # by convention; never a field statement
 
-    def _encode(self, digits) -> int:
-        x = 0
-        for c in reversed(digits):
-            x = x * self.p + c
-        return x
-
-    def _build_tables(self):
+    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The q x q add and mul tables, all pairs at once: add is the
+        digitwise sum mod p, mul the product of the digit polynomials
+        reduced by the modulus from the top degree down."""
         q, p, e = self.q, self.p, self.e
-        add = np.empty((q, q), dtype=np.int64)
-        mul = np.empty((q, q), dtype=np.int64)
-        # base-p digits of every element, lowest first
-        digits = decode_vectors(0, q, p, e)[:, ::-1].tolist()
-        for x, dx in enumerate(digits):
-            for y, dy in enumerate(digits):
-                add[x, y] = self._encode([(a + b) % p for a, b in zip(dx, dy)])
-                prod = [0] * (2 * e - 1) if e > 1 else [dx[0] * dy[0] % p]
-                if e > 1:
-                    for i, a in enumerate(dx):
-                        for j, b in enumerate(dy):
-                            prod[i + j] = (prod[i + j] + a * b) % p
-                    prod = _poly_mod(prod, list(self.modulus), p)
-                    prod += [0] * (e - len(prod))
-                mul[x, y] = self._encode(prod)
+        digits = decode_vectors(0, q, p, e)[:, ::-1]  # base-p digits, lowest first
+        weights = p ** np.arange(e, dtype=np.int64)
+        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+        prod = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
+        for i in range(e):
+            prod[:, :, i : i + e] += digits[:, None, i, None] * digits[None, :, :]
+        if e > 1:
+            modulus = np.array(self.modulus, dtype=np.int64)
+            lead_inv = pow(int(modulus[-1]), p - 2, p)
+            for top in range(2 * e - 2, e - 1, -1):
+                factor = (prod[:, :, top] % p) * lead_inv % p
+                prod[:, :, top - e : top + 1] -= factor[:, :, None] * modulus
+        mul = (prod[:, :, :e] % p) @ weights
         return add, mul
-
-    def _find_neg(self, x: int) -> int:
-        hits = np.nonzero(self.add[x] == 0)[0]
-        return int(hits[0])
-
-    def _find_inv(self, x: int) -> int:
-        if x == 0:
-            return 0  # by convention; never a field statement
-        hits = np.nonzero(self.mul[x] == 1)[0]
-        return int(hits[0])
-
-    def dot(self, u, v) -> np.ndarray:
-        """Componentwise products folded with field addition.
-
-        u, v broadcast along the last axis; returns the scalar products.
-        """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        prods = self.mul[u, v]
-        acc = prods[..., 0]
-        for i in range(1, prods.shape[-1]):
-            acc = self.add[acc, prods[..., i]]
-        return acc
 
     def vector_space(self, d: int) -> np.ndarray:
         """All q^d coordinate vectors, row-major odometer order."""

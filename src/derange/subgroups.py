@@ -179,10 +179,12 @@ def subgroup_classes(
 
     triv = np.array([0], dtype=np.int64)
     add(triv, [])
-    frontier = [0]
+    frontier = []
 
     # seed with one cyclic subgroup per conjugacy class of elements, from
-    # each class's first row, in listing order; the identity's is row 0
+    # each class's first row, in listing order; the identity's is row 0.
+    # These are all the trivial group's extensions, so it is not on the
+    # frontier
     first = np.full(int(et.class_id.max()) + 1, m)
     np.minimum.at(first, et.class_id, np.arange(m))
     for x in np.sort(first)[1:].tolist():

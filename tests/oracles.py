@@ -13,8 +13,9 @@ faster ones must match output for output, the normal-subgroup orders
 found by a sympy scan of class unions, a subdirect product grown by
 Schreier-Sims from its generators (the group the chain built from the
 factors must equal), the scan of all q^d vectors behind the two
-hyperplane-cover flags, and the one recipe for launching the
-``derange`` CLI in a separate process.
+hyperplane-cover flags, GF(q) tables built one pair at a time and the
+dot product folded one coordinate at a time, and the one recipe for
+launching the ``derange`` CLI in a separate process.
 """
 
 import os
@@ -23,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from derange._kernels import decode_vectors
+from derange.gf import PINNED_MODULI, _poly_mod
 from derange.group import PermutationGroup, ResourceCapExceeded, factorize
 from derange.perm import Perm, fixes_any, lex_sorted, rows_of
 from derange.structure import conjugacy_classes, normal_closure
@@ -523,6 +526,49 @@ def reference_dedup_isomorphisms(q1, q2):
             seen.add(key)
             keep.append(iso)
     return keep
+
+
+def reference_field_tables(q: int) -> tuple[np.ndarray, ...]:
+    """(add, mul, neg, inv) of GF(q), one pair at a time: digitwise sums
+    mod p, and products of the digit polynomials reduced by the pinned
+    modulus with polynomial long division; neg and inv by search, with
+    inv[0] = 0.  The pinned modulus is not checked here."""
+    ((p, e),) = factorize(q)
+    digits = decode_vectors(0, q, p, e)[:, ::-1].tolist()  # lowest first
+
+    def encode(coeffs):
+        x = 0
+        for c in reversed(coeffs):
+            x = x * p + c
+        return x
+
+    add = np.empty((q, q), dtype=np.int64)
+    mul = np.empty((q, q), dtype=np.int64)
+    for x, dx in enumerate(digits):
+        for y, dy in enumerate(digits):
+            add[x, y] = encode([(a + b) % p for a, b in zip(dx, dy)])
+            prod = [0] * (2 * e - 1)
+            for i, a in enumerate(dx):
+                for j, b in enumerate(dy):
+                    prod[i + j] = (prod[i + j] + a * b) % p
+            if e > 1:
+                prod = _poly_mod(prod, list(PINNED_MODULI[q]), p)
+            mul[x, y] = encode(prod + [0] * (e - len(prod)))
+    neg = np.array([next(y for y in range(q) if add[x, y] == 0) for x in range(q)])
+    inv = np.array([0] + [next(y for y in range(q) if mul[x, y] == 1) for x in range(1, q)])
+    return add, mul, neg, inv
+
+
+def dot(field, u, v) -> np.ndarray:
+    """Componentwise products of u and v, broadcast along the last axis,
+    folded with field addition one coordinate at a time."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    prods = field.mul[u, v]
+    acc = prods[..., 0]
+    for i in range(1, prods.shape[-1]):
+        acc = field.add[acc, prods[..., i]]
+    return acc
 
 
 def full_cover_scan(field, d: int, normals) -> tuple[bool, bool]:

@@ -20,7 +20,7 @@ from derange.cover import (
 from derange import _kernels
 from derange.gf import FieldError, FieldSpec
 from derange.group import ENUM_CAP
-from oracles import full_cover_scan
+from oracles import dot, full_cover_scan
 
 
 def test_formula_examples():
@@ -87,7 +87,7 @@ def test_d_sequences_count_good_solutions_directly():
         for j in (1, 2, 3):
             vecs = field.vector_space(j)
             ones = np.ones(j, dtype=np.int64)
-            dots = field.dot(np.broadcast_to(ones, vecs.shape), vecs)
+            dots = dot(field, np.broadcast_to(ones, vecs.shape), vecs)
             nz = (vecs != 0).all(axis=1)
             d0 = int(((dots == 0) & nz).sum())
             d1 = int(((dots == 1) & nz).sum())
@@ -123,6 +123,24 @@ def test_make_cover_dedups_scalar_multiples():
     # [2,4%3]=[2,1] ~ [1,2] after scaling by inv(2)=2: (1,2); [2,1] ~ (1,2)?
     # 2*(2,1) = (1,2): same plane; all three collapse to one
     assert len(c.hyperplanes) == 1
+
+
+def test_make_cover_rejects_coordinates_outside_the_field():
+    # -1 is not read as 2 = -1 mod 3, and 5 does not index past the tables
+    with pytest.raises(FieldError, match="-1 is not an element of GF\\(3\\)"):
+        make_cover(3, 2, [[-1, 1], [0, 1], [1, 0]])
+    with pytest.raises(FieldError, match="5 is not an element"):
+        make_cover(3, 2, [[1, 5]])
+    # over GF(4), -1 would wrap to 3 = X + 1, which is not -1 = 1
+    with pytest.raises(FieldError, match="GF\\(4\\)"):
+        make_cover(4, 2, [[1, -1]])
+
+
+def test_good_count_bruteforce_rejects_coordinates_outside_the_field():
+    with pytest.raises(FieldError, match="-1 is not an element"):
+        good_count_bruteforce(Hyperplane.make([-1, 1]), FieldSpec(3))
+    with pytest.raises(FieldError, match="4 is not an element"):
+        good_count_bruteforce(Hyperplane.make([4, 1]), FieldSpec(3))
 
 
 def test_rank_over_field():

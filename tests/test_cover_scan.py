@@ -10,7 +10,7 @@ st = hypothesis.strategies
 from derange._kernels import cover_all_scan, gauss_jordan  # noqa: E402
 from derange.cover import CoverInstance, Hyperplane, check_cover  # noqa: E402
 from derange.gf import FieldSpec  # noqa: E402
-from oracles import full_cover_scan  # noqa: E402
+from oracles import dot, full_cover_scan  # noqa: E402
 
 FIELDS = {q: FieldSpec(q) for q in (2, 3, 4, 5, 7, 8, 9)}
 
@@ -32,7 +32,7 @@ def normal_sets(draw):
     coeffs = coeffs.reshape(s, r)
     if not draw(st.booleans()):
         coeffs[~coeffs.any(axis=1), 0] = 1
-    normals = FIELDS[q].dot(coeffs[:, None, :], basis.reshape(r, d).T[None, :, :])
+    normals = dot(FIELDS[q], coeffs[:, None, :], basis.reshape(r, d).T[None, :, :])
     return q, d, normals.reshape(s, d)
 
 
@@ -64,7 +64,7 @@ def test_elimination_gives_coordinates_in_the_pivot_basis(case):
         return
     assert pivots == sorted(pivots)
     coords = reduced[:r].T
-    rebuilt = field.dot(coords[:, None, :], normals[pivots].T[None, :, :])
+    rebuilt = dot(field, coords[:, None, :], normals[pivots].T[None, :, :])
     assert (rebuilt == normals).all()
 
 

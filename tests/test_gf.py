@@ -8,6 +8,7 @@ from derange.gf import (
     _is_irreducible,
     factor_prime_power,
 )
+from oracles import dot, reference_field_tables
 
 SUPPORTED_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 
@@ -31,6 +32,33 @@ def test_pinned_moduli_are_irreducible():
         p, e = factor_prime_power(q)
         assert len(modulus) == e + 1
         assert _is_irreducible(list(modulus), p)
+
+
+def test_reducible_pinned_modulus_is_refused(monkeypatch):
+    # X^2 + 2 = (X - 1)(X + 1) over GF(3): the tables would not be a field
+    monkeypatch.setitem(PINNED_MODULI, 9, (2, 0, 1))
+    with pytest.raises(FieldError, match="reducible"):
+        FieldSpec(9)
+    monkeypatch.setitem(PINNED_MODULI, 9, (1, 0, 1, 1))
+    with pytest.raises(FieldError, match="degree"):
+        FieldSpec(9)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_tables_match_the_pairwise_reference(q):
+    f = FieldSpec(q)
+    for got, want in zip((f.add, f.mul, f.neg, f.inv), reference_field_tables(q)):
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+
+def test_non_monic_modulus_gives_the_same_tables(monkeypatch):
+    # 2X^2 + 2 = 2(X^2 + 1) over GF(3): reducing by it is reducing by X^2 + 1
+    want = reference_field_tables(9)
+    monkeypatch.setitem(PINNED_MODULI, 9, (2, 0, 2))
+    f = FieldSpec(9)
+    assert f.mul.tolist() == want[1].tolist()
+    assert f.inv.tolist() == want[3].tolist()
 
 
 def test_reducible_is_detected():
@@ -93,7 +121,7 @@ def test_vector_space_and_dot():
     assert v[1].tolist() == [0, 1]
     assert v[-1].tolist() == [2, 2]
     # x + y over GF(3)
-    dots = f.dot(np.array([1, 1]), v)
+    dots = dot(f, np.array([1, 1]), v)
     assert dots.tolist() == [(a + b) % 3 for a, b in v.tolist()]
 
 
@@ -106,4 +134,4 @@ def test_dot_matches_manual_fold_in_extension_field():
         acc = 0
         for a, b in zip(u.tolist(), v.tolist()):
             acc = int(f.add[acc, f.mul[a, b]])
-        assert int(f.dot(u, v)) == acc
+        assert int(dot(f, u, v)) == acc

@@ -2,7 +2,9 @@ from itertools import product
 
 import numpy as np
 
-from derange import Perm, PermutationGroup
+import pytest
+
+from derange import Perm, PermutationGroup, _kernels
 from derange._kernels import (
     cover_all_scan,
     fix_any_count,
@@ -10,6 +12,9 @@ from derange._kernels import (
     row_orders,
 )
 from derange.gf import FieldSpec
+from oracles import dot, full_cover_scan
+
+SPLIT_QS = (2, 3, 4, 5, 7, 8, 9)
 
 
 def test_good_count_scan_matches_brute_force():
@@ -23,7 +28,7 @@ def test_good_count_scan_matches_brute_force():
             want = sum(
                 1
                 for v in product(range(1, q), repeat=d)
-                if field.dot(normal, np.array(v)) == 0
+                if dot(field, normal, np.array(v)) == 0
             )
             assert good_count_scan(field, d, normal) == want
 
@@ -36,6 +41,47 @@ def test_cover_all_lanes_agree():
     assert cover_all_scan(field, 2, np.array(partial)) == (False, 2)
     # an empty plane list covers nothing
     assert cover_all_scan(field, 2, np.empty((0, 2))) == (False, 0)
+
+
+@pytest.mark.parametrize("q", SPLIT_QS)
+def test_good_count_scan_in_small_chunks(monkeypatch, q):
+    # with _CHUNK = 4 the scan splits every vector into a head and a
+    # tail and loops over many chunks
+    monkeypatch.setattr(_kernels, "_CHUNK", 4)
+    field = FieldSpec(q)
+    rng = np.random.default_rng(q)
+    for d in range(1, 5):
+        vecs = field.vector_space(d)
+        for _ in range(3):
+            normal = rng.integers(0, q, d)
+            want = sum(
+                1 for v in vecs if v.all() and dot(field, normal, v) == 0
+            )
+            assert good_count_scan(field, d, normal) == want, (d, normal)
+
+
+@pytest.mark.parametrize("q", SPLIT_QS)
+def test_cover_all_scan_in_small_chunks(monkeypatch, q):
+    # the tight cover (a cover from d = 2), the same set less its last
+    # plane (vectors are left uncovered, so the scan exits early), drawn
+    # sets, and the tight cover with its last coordinate dropped (rank
+    # d - 1)
+    monkeypatch.setattr(_kernels, "_CHUNK", 4)
+    field = FieldSpec(q)
+    rng = np.random.default_rng(q + 100)
+    for d in range(1, 5):
+        pencil = [[1, t] + [0] * (d - 2) for t in range(1, q)] if d > 1 else []
+        tight = np.array(np.eye(d, dtype=np.int64).tolist() + pencil, dtype=np.int64)
+        cases = [tight, tight[:-1], rng.integers(0, q, (2 * d + 1, d))]
+        if d > 1:
+            cases.append(np.concatenate([tight[:, :-1], np.zeros((len(tight), 1), np.int64)], 1))
+        for normals in cases:
+            covers_all, trivial = full_cover_scan(field, d, normals)
+            scanned, rank = cover_all_scan(field, d, normals)
+            assert scanned == covers_all, (d, normals.tolist())
+            assert (rank == d) == trivial
+        assert cover_all_scan(field, d, tight)[0] == (d > 1)
+        assert not cover_all_scan(field, d, tight[:-1])[0]
 
 
 def test_fix_any_count_matches_mask():
