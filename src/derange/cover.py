@@ -103,8 +103,19 @@ class CoverInstance:
     trivial_intersection: bool | None = None
 
     def normal_rows(self) -> np.ndarray:
+        """The normals as an (s, d) array; FieldError unless each is d
+        elements 0..q-1 of the field, so none is wrapped or indexed past
+        the field tables."""
         rows = [h.normal for h in self.hyperplanes]
-        return np.array(rows, dtype=np.int64).reshape(len(rows), self.d)
+        try:  # ragged normals, or normals of another length
+            out = np.array(rows, dtype=np.int64).reshape(len(rows), self.d)
+        except ValueError:
+            raise FieldError(f"normal length does not match d={self.d}") from None
+        # viewed unsigned, a negative coordinate is over q too
+        if out.size and out.view(np.uint64).max() >= self.field.q:
+            for normal in rows:
+                _field_coords(self.field, normal)  # raises for the first bad one
+        return out
 
 
 def make_cover(q: int, d: int, normals) -> CoverInstance:

@@ -1,7 +1,9 @@
 """Conjugacy classes, normal subgroups and Sylow subgroups.
 
 A class table lists the whole group in lex order with the class of each
-element.  It feeds the normal-subgroup lattice, which is searched in
+element, found by passes over the whole listing at once: every element
+is labelled with the least index of its orbit under conjugation by the
+generators.  It feeds the normal-subgroup lattice, which is searched in
 class space: a normal subgroup is a union of classes closed under the
 tabled class products (``class_products``), so each member is a bitmask
 over the classes, and only a mask seen for the first time gets a
@@ -65,43 +67,38 @@ def conjugacy_classes(group: PermutationGroup, cap: int = 10**6) -> ConjugacyCla
     """Conjugacy class table of a group of order at most cap.
 
     The group is listed (over cap it raises ResourceCapExceeded before
-    any orbit search) and sorted lexicographically.  The least element
-    not yet in a class is the least of its own class, which is closed
-    by breadth-first orbit search under conjugation by the generators
-    (on a finite set that closes it under the whole group): a
-    frontier's conjugates by every generator are located in the listing
-    with one search on their lex keys, and the distinct ones not yet in
-    a class are marked and form the next frontier.
+    any orbit search) and sorted lexicographically.  Conjugation by each
+    generator permutes the listing; its index map is found with one
+    search of all conjugates' lex keys.  The classes are the orbits of
+    these maps (on a finite set the generators close an orbit under the
+    whole group), labelled by their least index: each label is lowered
+    to its image's under every map, then shortcut by pointer jumping,
+    until nothing changes.  Then labels agree along each cycle of each
+    map, so on each orbit; and an index whose label is itself is the
+    lex-least element of its class.
     """
     rows = lex_sorted(group.element_rows(cap=cap))
     keys = lex_keys(rows)
-    class_of = np.full(len(rows), -1, dtype=np.intp)
     gens = rows_of(group.generators, group.degree)
-    gens_inv = invert_rows(gens)
-    at = np.arange(len(gens))[None, :, None]
-    classes = []
-    x = 0
-    while x < len(rows):
-        c = len(classes)
-        class_of[x] = c
-        frontier = np.array([x])
-        size = 1
-        while frontier.size:
-            # conj[f, k] = gens[k]^-1 * rows[f] * gens[k]
-            conj = gens[at, rows[frontier][:, gens_inv]].reshape(-1, group.degree)
-            hit = np.searchsorted(keys, lex_keys(conj))
-            hit = hit[class_of[hit] < 0]
-            # each repeated index keeps the tag of just one of its
-            # positions, so the positions whose tag stuck are distinct
-            tag = -2 - np.arange(len(hit))
-            class_of[hit] = tag
-            frontier = hit[class_of[hit] == tag]
-            class_of[frontier] = c
-            size += frontier.size
-        classes.append(ConjugacyClass(Perm(rows[x].copy(), validate=False), size))
-        left = np.flatnonzero(class_of[x:] < 0)
-        x += int(left[0]) if left.size else len(rows)
-    return ConjugacyClassTable(group, classes, rows, class_of)
+    # maps[k][x] = index of gens[k]^-1 * rows[x] * gens[k]
+    maps = [np.searchsorted(keys, lex_keys(conjugate_rows(rows, g, g_inv)))
+            for g, g_inv in zip(gens, invert_rows(gens))]
+    index = np.arange(len(rows))
+    label = index
+    while True:
+        last = label
+        for f in maps:
+            label = np.minimum(label, label[f])
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+        if np.array_equal(label, last):
+            break
+    reps = np.flatnonzero(label == index)
+    sizes = np.bincount(label)[reps]
+    classes = [ConjugacyClass(Perm(rows[r].copy(), validate=False), s)
+               for r, s in zip(reps.tolist(), sizes.tolist())]
+    return ConjugacyClassTable(group, classes, rows, np.searchsorted(reps, label))
 
 
 # ---------------------------------------------------------------------------

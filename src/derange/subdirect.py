@@ -22,7 +22,6 @@ from .perm import (
     Perm,
     conjugate_rows,
     fixes_any,
-    least_derangement,
     lex_order,
     lex_sorted,
     rows_of,
@@ -33,6 +32,7 @@ from .subgroups import table_closure
 
 QUOTIENT_CAP = 2000
 ISO_CAP = 10**5
+_WITNESS_BLOCK = 1 << 15  # rows per block, as in PermutationGroup.element_blocks
 
 
 @dataclass(eq=False)
@@ -144,15 +144,36 @@ class QuotientModel:
             raise GroupError("element lies in no coset of the quotient model")
         return p
 
-    def coset_rows(self, p: int) -> np.ndarray:
-        """The parent-group elements of the coset at point p, as rows."""
-        return rows_then(self.kernel_rows, self.reps[p])
-
     @cached_property
-    def derangement_bitmap(self) -> np.ndarray:
-        """bitmap[p] = coset p contains an element fixing no parent point."""
-        pts = np.arange(self.parent.degree)
-        return np.array([not fixes_any(self.coset_rows(p), pts).all() for p in range(self.order)])
+    def derangement_witnesses(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bitmap, rows): bitmap[p] = coset p contains an element fixing
+        no parent point, and rows[p] is the lex-least such element, or
+        the identity when there is none.
+
+        The cosets are listed together, kernel rows then each
+        representative, in blocks of whole cosets of at most
+        _WITNESS_BLOCK rows (one coset when a coset is larger).  The
+        derangements of a block are ranked by one lex sort, and each
+        coset keeps the one of least rank.
+        """
+        n, k = self.parent.degree, len(self.kernel_rows)
+        pts = np.arange(n, dtype=np.uint8)
+        reps = rows_of(self.reps, n)
+        bitmap = np.zeros(self.order, dtype=bool)
+        rows = np.empty((self.order, n), dtype=np.uint8)
+        rows[:] = pts
+        step = max(1, _WITNESS_BLOCK // k)
+        for lo in range(0, self.order, step):
+            block = reps[lo:lo + step][:, self.kernel_rows].reshape(-1, n)
+            der = np.flatnonzero(~fixes_any(block, pts))
+            ranked = der[lex_order(block[der])]
+            rank = np.full(len(block), len(der))
+            rank[ranked] = np.arange(len(der))
+            least = rank.reshape(-1, k).min(axis=1)
+            found = least < len(der)
+            bitmap[lo:lo + len(found)] = found
+            rows[lo:lo + len(found)][found] = block[ranked[least[found]]]
+        return bitmap, rows
 
 
 def _coset_key(kernel_rows: np.ndarray, g: Perm) -> bytes:
@@ -428,17 +449,17 @@ def subdirect_derangement(desc: SubdirectDescriptor) -> Perm | None:
 
     An element (g1, g2) deranges the union iff g1 deranges domain 1 and
     g2 deranges domain 2, so existence reduces to finding a coset of N1
-    holding a derangement whose partner coset of N2 holds one too.
+    holding a derangement whose partner coset of N2 holds one too.  The
+    witness pairs the tabled lex-least derangements of the first such
+    coset and its partner.
     """
-    bm1 = desc.q1.derangement_bitmap
-    bm2 = desc.q2.derangement_bitmap
-    hits = np.nonzero(bm1 & bm2[desc.point_map])[0]
+    bm1, rows1 = desc.q1.derangement_witnesses
+    bm2, rows2 = desc.q2.derangement_witnesses
+    hits = np.flatnonzero(bm1 & bm2[desc.point_map])
     if hits.size == 0:
         return None
     p = int(hits[0])
-    q1, q2 = desc.q1, desc.q2
-    g1 = least_derangement(q1.coset_rows(p), np.arange(q1.parent.degree))
-    g2 = least_derangement(q2.coset_rows(int(desc.point_map[p])), np.arange(q2.parent.degree))
-    if g1 is None or g2 is None:
-        raise GroupError(f"derangement bitmap marks coset {p} but it holds no derangement")
-    return _combine(g1, g2)
+    images = np.concatenate([rows1[p], rows2[desc.point_map[p]] + desc.q1.parent.degree])
+    if (images == np.arange(len(images))).any():
+        raise GroupError(f"coset pair at point {p} is marked but its witness fixes a point")
+    return Perm(images, validate=False)

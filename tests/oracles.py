@@ -5,10 +5,11 @@ shortcuts, no lattice pruning, just exhaustive closure growth.  Also the
 one-element helpers the tests share (a group's elements as ``Perm``s,
 conjugation, the derangement test, equality of two subgroups, the direct
 product of two groups, a block system's blocks and a class table's
-sizes), the class-sum count of non-derangements that the scan must
-match, the reference versions of the stabilizer chain, the normal
-closure, the normal-subgroup lattice, the subgroup-lattice scan, the
-quotient isomorphism search and its dedup pass that the library's
+sizes, and a quotient model's coset as rows), the class-sum count of
+non-derangements that the scan must match, the reference versions of
+the class table, the stabilizer chain, the normal closure, the
+normal-subgroup lattice, the subgroup-lattice scan, the quotient
+isomorphism search and its dedup pass that the library's
 faster ones must match output for output, the normal-subgroup orders
 found by a sympy scan of class unions, a subdirect product grown by
 Schreier-Sims from its generators (the group the chain built from the
@@ -27,8 +28,16 @@ import numpy as np
 from derange._kernels import decode_vectors
 from derange.gf import PINNED_MODULI, _poly_mod
 from derange.group import PermutationGroup, ResourceCapExceeded, factorize
-from derange.perm import Perm, fixes_any, lex_sorted, rows_of
-from derange.structure import conjugacy_classes, normal_closure
+from derange.perm import (
+    Perm,
+    fixes_any,
+    invert_rows,
+    lex_keys,
+    lex_sorted,
+    rows_of,
+    rows_then,
+)
+from derange.structure import ConjugacyClass, ConjugacyClassTable, conjugacy_classes, normal_closure
 from derange.subdirect import quotient_isomorphisms
 from derange.subgroups import SubgroupClass
 
@@ -76,6 +85,45 @@ def class_sum_nonderangements(group, omega, class_cap: int = 10**6) -> int:
         raise ValueError("point set is not group-invariant")
     table = conjugacy_classes(group, cap=class_cap)
     return sum(c.size for c in table if bool((c.rep.images[pts] == pts).any()))
+
+
+def reference_conjugacy_classes(group, cap: int = 10**6):
+    """``conjugacy_classes`` one class at a time: the least row of the
+    lex-sorted listing not yet in a class is the least of its own class,
+    which is closed by breadth-first orbit search under conjugation by
+    the generators.  The library's table must match it: rows, class ids,
+    representatives and sizes."""
+    rows = lex_sorted(group.element_rows(cap=cap))
+    keys = lex_keys(rows)
+    class_of = np.full(len(rows), -1, dtype=np.intp)
+    gens = rows_of(group.generators, group.degree)
+    gens_inv = invert_rows(gens)
+    at = np.arange(len(gens))[None, :, None]
+    classes = []
+    x = 0
+    while x < len(rows):
+        c = len(classes)
+        class_of[x] = c
+        frontier = np.array([x])
+        size = 1
+        while frontier.size:
+            # conj[f, k] = gens[k]^-1 * rows[f] * gens[k]
+            conj = gens[at, rows[frontier][:, gens_inv]].reshape(-1, group.degree)
+            hit = np.searchsorted(keys, lex_keys(conj))
+            # the distinct rows not yet in a class form the next frontier
+            frontier = np.array(sorted(set(hit[class_of[hit] < 0].tolist())), dtype=np.intp)
+            class_of[frontier] = c
+            size += frontier.size
+        classes.append(ConjugacyClass(Perm(rows[x].copy(), validate=False), size))
+        left = np.flatnonzero(class_of[x:] < 0)
+        x += int(left[0]) if left.size else len(rows)
+    return ConjugacyClassTable(group, classes, rows, class_of)
+
+
+def coset_rows(model, p: int) -> np.ndarray:
+    """The parent-group elements of a quotient model's coset at point p,
+    as rows: each kernel element, then the coset's representative."""
+    return rows_then(model.kernel_rows, model.reps[p])
 
 
 class ReferenceBSGS:

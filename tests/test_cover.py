@@ -136,6 +136,19 @@ def test_make_cover_rejects_coordinates_outside_the_field():
         make_cover(4, 2, [[1, -1]])
 
 
+def test_check_cover_rejects_normals_outside_the_field():
+    # a hand-built instance skips make_cover; check_cover must not read
+    # -1 as 2, index past the tables with 5, or reshape a short normal
+    field = FieldSpec(3)
+    planes = [Hyperplane.make([-1, 1]), Hyperplane.make([0, 1]), Hyperplane.make([1, 0])]
+    with pytest.raises(FieldError, match="-1 is not an element of GF\\(3\\)"):
+        check_cover(CoverInstance(field, 2, planes))
+    with pytest.raises(FieldError, match="5 is not an element of GF\\(3\\)"):
+        check_cover(CoverInstance(field, 2, [Hyperplane.make([5, 1])]))
+    with pytest.raises(FieldError, match="normal length does not match d=3"):
+        check_cover(CoverInstance(field, 3, [Hyperplane.make([0, 1]), Hyperplane.make([1, 0])]))
+
+
 def test_good_count_bruteforce_rejects_coordinates_outside_the_field():
     with pytest.raises(FieldError, match="-1 is not an element"):
         good_count_bruteforce(Hyperplane.make([-1, 1]), FieldSpec(3))

@@ -22,6 +22,7 @@ from oracles import (
     class_union_normal_subgroups,
     conjugate,
     elements,
+    reference_conjugacy_classes,
     reference_normal_subgroups,
 )
 
@@ -409,3 +410,17 @@ def test_class_table_lists_the_group_with_class_ids():
     for c, cls in enumerate(table):
         got = {r.tobytes() for r in table.rows[table.class_of == c]}
         assert got == brute_class(g, cls.rep)
+
+
+# The 130 groups are the imprimitive degree-8 to -10 fixtures of order
+# at most 10^5 (102 of them) and the builtin listings at degrees 5-7 (28).
+def test_class_tables_match_one_class_at_a_time_reference():
+    groups = [g for d in (8, 9, 10) for g in imprimitive_groups(d, max_order=10**5)]
+    groups += [e.group for d in (5, 6, 7) for e in corpus_of(d).entries]
+    assert len(groups) == 130
+    for g in groups:
+        got, want = conjugacy_classes(g), reference_conjugacy_classes(g)
+        assert np.array_equal(got.rows, want.rows), g.name
+        assert np.array_equal(got.class_of, want.class_of), g.name
+        assert [c.rep.key for c in got] == [c.rep.key for c in want], g.name
+        assert class_sizes(got) == class_sizes(want), g.name

@@ -19,7 +19,7 @@ from derange import subdirect
 from derange.corpus import enumerate_transitive, load_corpus
 from derange.derangements import TwoOrbitAction
 from derange.group import BSGS, GroupError, PermutationGroup, ResourceCapExceeded
-from derange.perm import Perm
+from derange.perm import Perm, least_derangement
 from derange.pipeline import verify_degree
 from derange.structure import normal_subgroups
 from derange.subdirect import (
@@ -33,6 +33,7 @@ from derange.subdirect import (
 from oracles import (
     SRC,
     conjugate,
+    coset_rows,
     elements,
     reference_dedup_isomorphisms,
     reference_isomorphisms,
@@ -94,9 +95,9 @@ def table_mult(model, x, y):
 
 
 def coset_lookup(model):
-    """element row bytes -> the point p whose coset_rows(p) holds it"""
+    """element row bytes -> the point p whose coset_rows(model, p) holds it"""
     return {
-        row.tobytes(): p for p in range(model.order) for row in model.coset_rows(p)
+        row.tobytes(): p for p in range(model.order) for row in coset_rows(model, p)
     }
 
 
@@ -659,6 +660,28 @@ def test_materialize_and_sylow_leave_numpy_ma_unimported():
     assert out.stdout.strip() == "False"
 
 
+def test_verify_degree9_leaves_numpy_ma_unimported():
+    # degree 9 is the first whose pairs reach subdirect_derangement, so
+    # this run builds the class tables and the coset witness tables
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import derange\n"
+        "from derange.corpus import load_corpus\n"
+        "from derange.pipeline import verify_degree\n"
+        "fixtures = Path(derange.__file__).parent / 'fixtures' / 'degree09'\n"
+        "report = verify_degree(9, corpus=load_corpus(fixtures, 9))\n"
+        "assert report.verdict == 'verified' and report.pairs_checked, report\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def brute_derangement(G):
     idx = np.arange(G.degree, dtype=np.uint8)
     rows = G.element_rows()
@@ -674,6 +697,32 @@ def covered_sylow_group():
     b = cyc(12, (3, 4, 5), (6, 7, 8), (9, 11, 10))
     s = Perm(np.array([3, 4, 5, 0, 2, 1, 9, 11, 10, 6, 7, 8], dtype=np.uint8))
     return PermutationGroup(12, [a, b, s], name="covered sylow")
+
+
+@pytest.mark.parametrize("block", [subdirect._WITNESS_BLOCK, 7])
+def test_witness_tables_match_least_derangement_per_coset(degree9_searches, monkeypatch, block):
+    # every quotient model verify_degree(9) searches and every one of the
+    # degree-10 sweep at scope 1200; a block of 7 rows splits cosets and
+    # leaves one coset per block when the kernel is larger
+    models = {id(q): q for pair in degree9_searches for q in pair}
+    models.update({id(q): q for d in sweep_descriptors(10, 1200) for q in (d.q1, d.q2)})
+    monkeypatch.setattr(subdirect, "_WITNESS_BLOCK", block)
+    cosets = empty = 0
+    for q in models.values():
+        # the property's function, so the cached tables are not reused
+        bitmap, rows = subdirect.QuotientModel.derangement_witnesses.func(q)
+        pts = np.arange(q.parent.degree)
+        for p in range(q.order):
+            want = least_derangement(coset_rows(q, p), pts)
+            assert bitmap[p] == (want is not None)
+            if want is None:
+                empty += p > 0
+                assert (rows[p] == pts).all()
+            else:
+                assert rows[p].tobytes() == want.key
+        cosets += q.order
+    assert (len(models), cosets) == (108, 809)
+    assert empty > 0
 
 
 class TestSubdirectDerangement:
