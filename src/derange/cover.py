@@ -11,9 +11,14 @@ when the normals have rank d, and the union is decided by a scan of the
 ENUM_CAP bounds every listing of vectors: the (q-1)^r of that scan, and
 the q^d that good_count_bruteforce scans and min_cover_search draws its
 normals from.
+
+A cover has d independent normals, and some g in GL(d, q) maps them to
+the unit normals e_1..e_d, keeping covering, trivial intersection and
+size: so min_cover_search proves minimality on sets holding e_1..e_d.
 """
 
 from dataclasses import dataclass
+from itertools import combinations, count
 
 import numpy as np
 
@@ -84,14 +89,8 @@ def canonical_normal(field: FieldSpec, normal) -> tuple[int, ...]:
 
 def all_canonical_normals(field: FieldSpec, d: int) -> list[tuple[int, ...]]:
     """One normal per hyperplane, first nonzero coord 1, lex sorted."""
-    out = []
-    for vec in field.vector_space(d):
-        for x in vec:
-            if x:
-                if x == 1:
-                    out.append(tuple(int(v) for v in vec))
-                break
-    return out
+    vecs = [tuple(int(x) for x in vec) for vec in field.vector_space(d)]
+    return [vec for vec in vecs if next((x for x in vec if x), 0) == 1]
 
 
 @dataclass
@@ -107,9 +106,11 @@ class CoverInstance:
         elements 0..q-1 of the field, so none is wrapped or indexed past
         the field tables."""
         rows = [h.normal for h in self.hyperplanes]
-        try:  # ragged normals, or normals of another length
+        try:  # ragged or wrong-length normals, or a coordinate past int64
             out = np.array(rows, dtype=np.int64).reshape(len(rows), self.d)
-        except ValueError:
+        except (ValueError, OverflowError):
+            for normal in rows:
+                _field_coords(self.field, normal)  # raises for a coordinate past int64
             raise FieldError(f"normal length does not match d={self.d}") from None
         # viewed unsigned, a negative coordinate is over q too
         if out.size and out.view(np.uint64).max() >= self.field.q:
@@ -120,14 +121,11 @@ class CoverInstance:
 
 def make_cover(q: int, d: int, normals) -> CoverInstance:
     field = FieldSpec(q)
-    seen = {}
-    for n in normals:
-        cn = canonical_normal(field, n)
+    canon = sorted({canonical_normal(field, n) for n in normals})
+    for cn in canon:
         if len(cn) != d:
             raise FieldError(f"normal length {len(cn)} does not match d={d}")
-        seen.setdefault(cn, Hyperplane.make(cn))
-    planes = [seen[k] for k in sorted(seen)]
-    return CoverInstance(field, d, planes)
+    return CoverInstance(field, d, [Hyperplane.make(cn) for cn in canon])
 
 
 def check_cover(cover: CoverInstance) -> tuple[bool, bool, bool]:
@@ -141,9 +139,7 @@ def check_cover(cover: CoverInstance) -> tuple[bool, bool, bool]:
     trivial = rank == d
     cover.covers_all = covers_all
     cover.trivial_intersection = trivial
-    bound_ok = True
-    if covers_all and trivial:
-        bound_ok = 2 <= d <= len(cover.hyperplanes) - q + 1
+    bound_ok = not (covers_all and trivial) or 2 <= d <= len(cover.hyperplanes) - q + 1
     return covers_all, trivial, bound_ok
 
 
@@ -165,25 +161,37 @@ def good_count_bruteforce(a: Hyperplane, field: FieldSpec, d: int | None = None)
 
 def min_cover_search(q: int, d: int, budget: int = SEARCH_BUDGET) -> tuple[int, CoverInstance]:
     """Smallest set meeting both cover conditions, first witness in
-    (size, lex) order; check_cover decides each subset examined.
-    """
-    from itertools import combinations
+    (size, lex) order; budget bounds the subsets checked in all.
 
+    Some g in GL(d, q) maps a cover's d independent normals to e_1..e_d,
+    so the minimum is the least s at which e_1..e_d and s-d other normals
+    cover (below d the rank is short); the witness is then the first
+    s-subset in lex order that covers.
+    """
     _check_space_cap(q, d)  # all_canonical_normals lists GF(q)^d
     field = FieldSpec(q)
     planes = [Hyperplane.make(n) for n in all_canonical_normals(field, d)]
-    examined = 0
-    for size in range(1, len(planes) + 1):
-        for combo in combinations(planes, size):
-            examined += 1
-            if examined > budget:
+    basis = [h for h in planes if h.normal.count(0) == d - 1]  # canonical units
+    rest = [h for h in planes if h not in basis]
+    examined = count(1)
+
+    def first_cover(combos) -> CoverInstance | None:
+        for combo in combos:
+            if next(examined) > budget:
                 raise ResourceCapExceeded(f"cover search exceeded budget {budget}")
             cover = CoverInstance(field, d, list(combo))
             covers_all, trivial, bound_ok = check_cover(cover)
             if covers_all and trivial:
                 if not bound_ok:
                     raise ArithmeticError("cover found below the size bound; bug")
-                return size, cover
+                return cover
+
+    for size in range(d, len(planes) + 1):
+        if first_cover(basis + list(more) for more in combinations(rest, size - d)) is not None:
+            cover = first_cover(combinations(planes, size))
+            if cover is None:
+                raise ArithmeticError(f"no cover of size {size} in lex order; bug")
+            return size, cover
     raise ResourceCapExceeded("no cover found; dimension or field too small")
 
 
@@ -196,17 +204,9 @@ def tight_cover_construct(q: int, d: int) -> CoverInstance:
     """
     if d < 2:
         raise FieldError(f"need d >= 2, got {d}")
-    normals = []
-    for i in range(d):
-        e = [0] * d
-        e[i] = 1
-        normals.append(e)
-    for t in range(1, q):
-        v = [0] * d
-        v[0] = 1
-        v[1] = t
-        normals.append(v)
-    cover = make_cover(q, d, normals)
+    units = [[int(i == j) for j in range(d)] for i in range(d)]
+    pencil = [[1, t] + [0] * (d - 2) for t in range(1, q)]
+    cover = make_cover(q, d, units + pencil)
     if len(cover.hyperplanes) != d + q - 1:
         raise ArithmeticError("tight construction has the wrong size; bug")
     return cover

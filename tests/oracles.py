@@ -14,19 +14,22 @@ faster ones must match output for output, the normal-subgroup orders
 found by a sympy scan of class unions, a subdirect product grown by
 Schreier-Sims from its generators (the group the chain built from the
 factors must equal), the scan of all q^d vectors behind the two
-hyperplane-cover flags, GF(q) tables built one pair at a time and the
+hyperplane-cover flags, the minimum-cover search that checks every
+smaller subset first, GF(q) tables built one pair at a time and the
 dot product folded one coordinate at a time, and the one recipe for
 launching the ``derange`` CLI in a separate process.
 """
 
 import os
 import sys
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 
 from derange._kernels import decode_vectors
-from derange.gf import PINNED_MODULI, _poly_mod
+from derange.cover import CoverInstance, Hyperplane, check_cover
+from derange.gf import PINNED_MODULI, FieldSpec, _poly_mod
 from derange.group import PermutationGroup, ResourceCapExceeded, factorize
 from derange.perm import (
     Perm,
@@ -633,6 +636,22 @@ def full_cover_scan(field, d: int, normals) -> tuple[bool, bool]:
             dots = field.add[dots[:, None], field.mul[a, values][None, :]].ravel()
         on[i] = dots == 0
     return bool(on.any(axis=0).all()), int(on.all(axis=0).sum()) == 1
+
+
+def reference_min_cover_search(q: int, d: int):
+    """(size, cover): the first set of hyperplanes meeting both cover
+    conditions in (size, lex) order, found by checking every subset of
+    every size from 1 up; None when no set of normals covers."""
+    field = FieldSpec(q)
+    # one normal per hyperplane, its first nonzero coordinate 1, in lex order
+    planes = [Hyperplane(n) for n in product(range(q), repeat=d) if next((x for x in n if x), 0) == 1]
+    for size in range(1, len(planes) + 1):
+        for combo in combinations(planes, size):
+            cover = CoverInstance(field, d, list(combo))
+            covers_all, trivial, _ = check_cover(cover)
+            if covers_all and trivial:
+                return size, cover
+    return None
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

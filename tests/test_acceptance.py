@@ -166,10 +166,13 @@ def test_c02_d_sequence_initials_and_recurrence():
 
 def test_c03_minimal_cover_tightness():
     t0 = time.perf_counter()
-    for q, d in ((2, 2), (2, 3), (3, 2)):
+    searches = ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5), (3, 4), (4, 3), (5, 2),
+                (5, 3), (7, 2), (8, 2), (9, 2), (2, 6))
+    for q, d in searches:
         size, cover = min_cover_search(q, d)
         assert size == d + q - 1, (q, d, size)
         assert len(cover.hyperplanes) == size
+        assert check_cover(cover) == (True, True, True), (q, d)
     built = 0
     for q in (2, 3, 4, 5):
         for d in range(2, 7):
@@ -178,7 +181,7 @@ def test_c03_minimal_cover_tightness():
             covers_all, trivial, bound_ok = check_cover(cover)
             assert covers_all and trivial and bound_ok, (q, d)
             built += 1
-    _report("c03 minimal covers tight", t0, f"3 searches, {built} constructions")
+    _report("c03 minimal covers tight", t0, f"{len(searches)} searches, {built} constructions")
 
 
 def test_c04_verify_degrees_2_through_10(corpora):

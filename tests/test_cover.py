@@ -20,7 +20,7 @@ from derange.cover import (
 from derange import _kernels
 from derange.gf import FieldError, FieldSpec
 from derange.group import ENUM_CAP
-from oracles import dot, full_cover_scan
+from oracles import dot, full_cover_scan, reference_min_cover_search
 
 
 def test_formula_examples():
@@ -80,6 +80,26 @@ def test_d_sequences_initial_and_recurrence():
         d_sequences(3, 0)
 
 
+class _FaultyModulus(int):
+    """q whose remainders are read from a list: the fault the
+    non-integer checks of d_sequences guard against."""
+
+    def __new__(cls, q, remainders):
+        self = super().__new__(cls, q)
+        self.remainders = list(remainders)
+        return self
+
+    def __rmod__(self, other):
+        return self.remainders.pop(0)
+
+
+def test_d_sequences_reject_a_non_integer_closed_form():
+    with pytest.raises(ArithmeticError, match="D1 closed form"):
+        d_sequences(_FaultyModulus(3, [1]), 2)
+    with pytest.raises(ArithmeticError, match="D0 closed form"):
+        d_sequences(_FaultyModulus(3, [0, 1]), 2)
+
+
 def test_d_sequences_count_good_solutions_directly():
     # D1(j): good solutions of sum x_i = m for m != 0; D0 for m = 0
     for q in (2, 3, 4, 5):
@@ -136,6 +156,11 @@ def test_make_cover_rejects_coordinates_outside_the_field():
         make_cover(4, 2, [[1, -1]])
 
 
+def test_make_cover_rejects_a_normal_of_another_length():
+    with pytest.raises(FieldError, match="normal length 3 does not match d=2"):
+        make_cover(3, 2, [[0, 1], [1, 0, 0]])
+
+
 def test_check_cover_rejects_normals_outside_the_field():
     # a hand-built instance skips make_cover; check_cover must not read
     # -1 as 2, index past the tables with 5, or reshape a short normal
@@ -147,6 +172,10 @@ def test_check_cover_rejects_normals_outside_the_field():
         check_cover(CoverInstance(field, 2, [Hyperplane.make([5, 1])]))
     with pytest.raises(FieldError, match="normal length does not match d=3"):
         check_cover(CoverInstance(field, 3, [Hyperplane.make([0, 1]), Hyperplane.make([1, 0])]))
+    # past int64, a coordinate must not escape as OverflowError either
+    for big in (2**70, -(2**70)):
+        with pytest.raises(FieldError, match=f"{big} is not an element of GF\\(3\\)"):
+            check_cover(CoverInstance(field, 2, [Hyperplane.make([big, 1])]))
 
 
 def test_good_count_bruteforce_rejects_coordinates_outside_the_field():
@@ -154,6 +183,11 @@ def test_good_count_bruteforce_rejects_coordinates_outside_the_field():
         good_count_bruteforce(Hyperplane.make([-1, 1]), FieldSpec(3))
     with pytest.raises(FieldError, match="4 is not an element"):
         good_count_bruteforce(Hyperplane.make([4, 1]), FieldSpec(3))
+
+
+def test_good_count_bruteforce_rejects_a_normal_of_another_length():
+    with pytest.raises(FieldError, match="normal length does not match dimension"):
+        good_count_bruteforce(Hyperplane.make([1, 1]), FieldSpec(3), 3)
 
 
 def test_rank_over_field():
@@ -220,11 +254,53 @@ def test_search_eliminates_each_subset_once(monkeypatch):
         return real(field, matrix)
 
     monkeypatch.setattr(_kernels, "gauss_jordan", counted)
+    # phase 1: the basis alone, then with (1, 1), which covers; phase 2:
+    # the first triple in lex order, the same set
     min_cover_search(2, 2)
-    assert len(calls) == 7  # 3 singletons, 3 pairs, then the first triple covers
+    assert len(calls) == 3
     calls.clear()
+    # phase 1: the basis alone, with each of the 10 other normals, then
+    # with the first pair, which covers (12); phase 2: the first 5-subset
     min_cover_search(3, 3)
-    assert len(calls) == 1093
+    assert len(calls) == 13
+
+
+@pytest.mark.parametrize("q,d", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2), (5, 2), (7, 2)])
+def test_search_matches_the_size_then_lex_scan(q, d):
+    size, found = min_cover_search(q, d)
+    want_size, want = reference_min_cover_search(q, d)
+    assert size == want_size
+    assert [h.normal for h in found.hyperplanes] == [h.normal for h in want.hyperplanes]
+
+
+def test_search_raises_when_the_lex_pass_finds_no_cover(monkeypatch):
+    # check_cover answers "covers" once only: the basis phase proves size
+    # 3, then the lex pass at size 3 finds nothing
+    yeses = []
+
+    def first_yes_only(cover):
+        covers_all, trivial, bound_ok = check_cover(cover)
+        covers_all = covers_all and not yeses
+        if covers_all and trivial:
+            yeses.append(cover)
+        return covers_all, trivial, bound_ok
+
+    monkeypatch.setattr("derange.cover.check_cover", first_yes_only)
+    with pytest.raises(ArithmeticError, match="no cover of size 3 in lex order"):
+        min_cover_search(2, 2)
+
+
+def test_search_rejects_a_cover_below_the_size_bound(monkeypatch):
+    monkeypatch.setattr("derange.cover.check_cover", lambda cover: (True, True, False))
+    with pytest.raises(ArithmeticError, match="below the size bound"):
+        min_cover_search(2, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_search_in_dimension_one_finds_no_cover(q):
+    # the only hyperplane of GF(q)^1 is {0}
+    with pytest.raises(ResourceCapExceeded, match="no cover found"):
+        min_cover_search(q, 1)
 
 
 @pytest.mark.parametrize("q,d", [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3)])
@@ -293,6 +369,16 @@ def test_tight_cover_rejects_d1():
         tight_cover_construct(3, 1)
 
 
+def test_tight_cover_checks_its_size(monkeypatch):
+    monkeypatch.setattr("derange.cover.make_cover", lambda q, d, normals: make_cover(q, d, normals[:-1]))
+    with pytest.raises(ArithmeticError, match="wrong size"):
+        tight_cover_construct(3, 3)
+
+
 def test_search_budget():
     with pytest.raises(ResourceCapExceeded):
         min_cover_search(3, 3, budget=10)
+    # both phases count: 12 checks prove size 5, the 13th finds the witness
+    with pytest.raises(ResourceCapExceeded, match="exceeded budget 12"):
+        min_cover_search(3, 3, budget=12)
+    assert min_cover_search(3, 3, budget=13)[0] == 5
