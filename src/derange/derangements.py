@@ -13,7 +13,7 @@ import numpy as np
 
 from ._kernels import fix_any_count
 from .group import ENUM_CAP, GroupError, PermutationGroup, ResourceCapExceeded, factorize
-from .perm import Perm, fixed_points, fixes_any, least_derangement
+from .perm import Perm, fixed_points, fixes_any, least_derangement, rows_of
 from .structure import is_prime, sylow_subgroup
 
 
@@ -144,17 +144,28 @@ class SylowCertificate:
     verdict: str
 
 
-def _is_elementary_abelian(group: PermutationGroup, p: int) -> bool:
-    gens = group.generators
-    if any(g.order != p for g in gens):
-        return False
-    return all(
-        (a * b) == (b * a) for i, a in enumerate(gens) for b in gens[i + 1:]
-    )
+def _is_elementary_abelian(gens: np.ndarray, p: int) -> bool:
+    """The group generated by the (nonidentity) rows has generators of
+    order p that commute with each other."""
+    k = np.arange(len(gens))
+    power = gens
+    for _ in range(p - 1):
+        power = gens[k[:, None], power]
+    # prod[i, j] = gens[i] * gens[j]
+    prod = gens[k[None, :, None], gens[:, None, :]]
+    of_order_p = (power == np.arange(gens.shape[1])).all()
+    return bool(of_order_p and (prod == prod.transpose(1, 0, 2)).all())
 
 
 def sylow_certificate(action: TwoOrbitAction, p: int) -> SylowCertificate:
-    """Certify the Sylow-orbit facts for a two-equal-orbit action.
+    """Certify the Sylow-orbit facts for a two-equal-orbit action, on the
+    Sylow p-subgroup that structure.sylow_subgroup grows (check_sylow)."""
+    return check_sylow(action, p, sylow_subgroup(action.group, p))
+
+
+def check_sylow(action: TwoOrbitAction, p: int, P: PermutationGroup) -> SylowCertificate:
+    """The Sylow-orbit facts of a two-equal-orbit action, checked on P,
+    which should be a Sylow p-subgroup of the action's group.
 
     With n = b*p^k (p not dividing b) and b < p: the Sylow p-subgroup P
     must have exactly 2b orbits, all of length p^k.  When k = 1, P must
@@ -162,6 +173,10 @@ def sylow_certificate(action: TwoOrbitAction, p: int) -> SylowCertificate:
     stabilizers, and if it has no derangement then p^d = |P| obeys
     2 <= d <= #stabilizers - p + 1; with b < (p+1)/2 a derangement in P
     is mandatory.  Violations raise CertificateError.
+
+    Everything is read off one listing of P: d from its length, each
+    orbit as the points whose least image is the orbit's least point,
+    and each point's stabilizer as the elements fixing it.
     """
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
@@ -171,11 +186,12 @@ def sylow_certificate(action: TwoOrbitAction, p: int) -> SylowCertificate:
     k = dict(factorize(n))[p]
     pk = p**k
     b = n // pk
-    P = sylow_subgroup(action.group, p)
+    rows = P.element_rows()
     d = 0
-    while p**d < P.order:
+    while p**d < len(rows):
         d += 1
-    lengths = tuple(sorted(len(o) for o in P.orbits()))
+    least = np.bincount(rows.min(axis=0), minlength=P.degree)
+    lengths = tuple(sorted(least[least > 0].tolist()))
 
     if b >= p:
         return SylowCertificate(p, b, k, d, lengths, None, None, None,
@@ -189,10 +205,9 @@ def sylow_certificate(action: TwoOrbitAction, p: int) -> SylowCertificate:
         return SylowCertificate(p, b, k, d, lengths, None, None, None,
                                 "equal-orbits")
 
-    elementary = _is_elementary_abelian(P, p)
+    elementary = _is_elementary_abelian(rows_of(P.generators, P.degree), p)
     if not elementary:
         raise CertificateError("Sylow subgroup is not elementary abelian")
-    rows = P.element_rows()
     # the stabilizer of x is the set of P's elements that fix x: column x
     stab_count = len({col.tobytes() for col in fixed_points(rows, range(P.degree)).T})
     if stab_count > 2 * b:

@@ -144,23 +144,26 @@ class BSGS:
     def _rebuild(self, i: int) -> None:
         prefix = self.base[:i]
         rows = self._gen_rows
-        gens = rows[(rows[:, prefix] == np.array(prefix, dtype=np.uint8)).all(axis=1)]
+        gens = rows[(rows[:, prefix] == np.array(prefix, dtype=np.uint8)).all(axis=1)] if i else rows
         images = gens.tolist()
         # breadth-first orbit of base[i]: point p, in discovery order, and
-        # generator s reach q = s(p) with u_q = u_p * s the first time
+        # generator s reach q = s(p) with u_q = u_p * s the first time; the
+        # walk runs on Python lists, which beat one numpy call per point
         pts = [self.base[i]]
-        seen = set(pts)
-        reps = [np.arange(self.degree, dtype=np.uint8)]
+        seen = [False] * self.degree
+        seen[pts[0]] = True
+        reps = [list(range(self.degree))]
         for j, p in enumerate(pts):  # grows while it is walked
-            for s, img in zip(gens, images):
+            rep = reps[j]
+            for img in images:
                 q = img[p]
-                if q not in seen:
-                    seen.add(q)
+                if not seen[q]:
+                    seen[q] = True
                     pts.append(q)
-                    reps.append(s[reps[j]])
-        order = np.argsort(pts)
+                    reps.append([img[x] for x in rep])
+        order = sorted(range(len(pts)), key=pts.__getitem__)
         points = np.array(pts)[order]
-        reps = np.array(reps)[order]
+        reps = np.array([reps[k] for k in order], dtype=np.uint8)
         reps.setflags(write=False)
         index = np.full(self.degree, -1, dtype=np.intp)
         index[points] = np.arange(len(points))

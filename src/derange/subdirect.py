@@ -85,20 +85,26 @@ class QuotientModel:
     @cached_property
     def generating_points(self) -> list[int]:
         """Small deterministic generating sequence: greedy by descending
-        element order, ties broken by coset-representative lex order."""
+        element order, ties broken by coset-representative lex order.
+        A point outside the subgroup generated so far always grows it,
+        and one inside never does, so only those outside are closed."""
         m = self.order
         gens: list[int] = []
         if m > 1:
             orders = self.element_orders
             pref = sorted(range(m), key=lambda p: (-int(orders[p]), self.reps[p].key))
+            inside = np.zeros(m, dtype=bool)
+            inside[0] = True
             size = 1
             for p in pref:
                 if size == m:
                     break
-                trial = gens + [p]
-                got = table_closure(self.table.T, trial).size
-                if got > size:
-                    gens, size = trial, got
+                if inside[p]:
+                    continue  # adjoining it would not grow the subgroup
+                gens = gens + [p]
+                closed = table_closure(self.table.T, gens)
+                inside[closed] = True
+                size = closed.size
             if size != m:
                 raise GroupError(f"generating points reach {size} of {m} quotient points")
         return gens
@@ -420,6 +426,8 @@ def materialize_group(desc: SubdirectDescriptor) -> PermutationGroup:
     |G1| * |N2|.  That needs the point map to be an isomorphism of the
     quotients, which is checked first: a bijection that respects every
     Cayley-graph edge x -> x*g of q1's generating points g is one.
+    H projects onto both factors, so its orbits are G1's followed by
+    G2's shifted, and it is given them.
     """
     q1, q2 = desc.q1, desc.q2
     pm = np.asarray(desc.point_map)
@@ -438,9 +446,11 @@ def materialize_group(desc: SubdirectDescriptor) -> PermutationGroup:
     strong = [_combine(s, q2.reps[pm[q1.point_of(s)]]) for s in c1.strong_gens]
     strong += [_combine(id1, t) for t in c2.strong_gens]
     base = c1.base + [b + n1 for b in c2.base]
-    return PermutationGroup.from_chain(
+    group = PermutationGroup.from_chain(
         BSGS.from_strong_generators(n1 + q2.parent.degree, base, strong)
     )
+    group._orbits = q1.parent.orbits() + [o + n1 for o in q2.parent.orbits()]
+    return group
 
 
 def subdirect_derangement(desc: SubdirectDescriptor) -> Perm | None:

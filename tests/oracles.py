@@ -7,7 +7,9 @@ conjugation, the derangement test, equality of two subgroups, the direct
 product of two groups, a block system's blocks and a class table's
 sizes, and a quotient model's coset as rows), the class-sum count of
 non-derangements that the scan must match, the reference versions of
-the class table, the stabilizer chain, the normal closure, the
+the class table, the chain-grown Sylow subgroup and the plain reading
+of its certificate facts, the stabilizer chain, the normal closure, a
+quotient model's greedy generating points, the
 normal-subgroup lattice, the subgroup-lattice scan, the quotient
 isomorphism search and its dedup pass that the library's
 faster ones must match output for output, the normal-subgroup orders
@@ -30,9 +32,10 @@ import numpy as np
 from derange._kernels import decode_vectors
 from derange.cover import CoverInstance, Hyperplane, check_cover
 from derange.gf import PINNED_MODULI, FieldSpec, _poly_mod
-from derange.group import PermutationGroup, ResourceCapExceeded, factorize
+from derange.group import BSGS, PermutationGroup, ResourceCapExceeded, factorize
 from derange.perm import (
     Perm,
+    conjugate_rows,
     fixes_any,
     invert_rows,
     lex_keys,
@@ -40,9 +43,16 @@ from derange.perm import (
     rows_of,
     rows_then,
 )
-from derange.structure import ConjugacyClass, ConjugacyClassTable, conjugacy_classes, normal_closure
+from derange.structure import (
+    ConjugacyClass,
+    ConjugacyClassTable,
+    conjugacy_classes,
+    normal_closure,
+    p_element_rows,
+    p_part,
+)
 from derange.subdirect import quotient_isomorphisms
-from derange.subgroups import SubgroupClass
+from derange.subgroups import SubgroupClass, table_closure
 
 
 def elements(group) -> list[Perm]:
@@ -121,6 +131,60 @@ def reference_conjugacy_classes(group, cap: int = 10**6):
         left = np.flatnonzero(class_of[x:] < 0)
         x += int(left[0]) if left.size else len(rows)
     return ConjugacyClassTable(group, classes, rows, class_of)
+
+
+def reference_sylow_subgroup(group, p: int) -> PermutationGroup:
+    """``sylow_subgroup`` on a stabilizer chain: P is a ``BSGS`` grown by
+    Schreier-Sims, membership is a sift, and each round adjoins the first
+    pool row outside P that conjugates P's strong generators into P.  The
+    library's listing-grown P must be the same element set."""
+    target = p_part(group.order, p)
+    b = BSGS(group.degree)
+    pool = p_element_rows(group, p) if target > 1 else np.empty((0, group.degree), dtype=np.uint8)
+    while b.order < target:
+        pool = pool[~b.contains_rows(pool)]
+        gens = rows_of(b.strong_gens, group.degree)
+        g = next((row for row in pool if b.contains_rows(conjugate_rows(gens, row)).all()), None)
+        if g is None:
+            raise ValueError(f"grew a {p}-subgroup of order {b.order}, not the p-part {target}")
+        b.extend(Perm(g, validate=False))
+    return PermutationGroup.from_chain(b, name=f"Sylow_{p}")
+
+
+def reference_sylow_facts(action, p: int, P) -> tuple:
+    """(d, orbit lengths, elementary abelian, stabilizer count, lex-least
+    derangement or None) of a p-subgroup P of a two-orbit action, each
+    read the plain way: |P| = p^d, the orbits by union-find over P's
+    generators, elementary abelian by generator orders and pairwise
+    products, the distinct stabilizers as sets of fixing elements, and
+    the least derangement by a scan of the sorted elements."""
+    d = dict(factorize(P.order)).get(p, 0)
+    if P.order != p**d:
+        raise ValueError(f"order {P.order} is not a power of {p}")
+    gens = P.generators
+    elementary = all(g.order == p for g in gens) and all(a * b == b * a for a in gens for b in gens)
+    members = sorted(elements(P))
+    stabs = {frozenset(g.key for g in members if g(x) == x) for x in range(P.degree)}
+    witness = next((g for g in members if is_derangement(g, action.omega)), None)
+    lengths = tuple(sorted(len(o) for o in P.orbits()))
+    return d, lengths, elementary, len(stabs), witness
+
+
+def reference_generating_points(model) -> list[int]:
+    """``QuotientModel.generating_points`` closing every candidate: greedy
+    by descending element order, ties by coset-representative lex order,
+    a candidate kept when the closure with it is larger."""
+    m = model.order
+    gens: list[int] = []
+    orders = model.element_orders
+    size = 1
+    for p in sorted(range(m), key=lambda p: (-int(orders[p]), model.reps[p].key)):
+        if size == m:
+            break
+        got = table_closure(model.table.T, gens + [p]).size
+        if got > size:
+            gens, size = gens + [p], got
+    return gens
 
 
 def coset_rows(model, p: int) -> np.ndarray:

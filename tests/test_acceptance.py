@@ -41,6 +41,7 @@ from derange.cover import (
 )
 from derange.derangements import (
     TwoOrbitAction,
+    check_sylow,
     count_nonderangements,
     find_derangement_detailed,
     pndr,
@@ -53,7 +54,13 @@ from derange.pipeline import emit_report, verify_degree
 from derange.structure import normal_subgroups
 from derange.subdirect import goursat_enumerate, materialize_group
 from derange.subgroups import ElementTable, subgroup_classes
-from oracles import class_sum_nonderangements, derange_process, direct_product
+from oracles import (
+    class_sum_nonderangements,
+    derange_process,
+    direct_product,
+    reference_sylow_facts,
+    reference_sylow_subgroup,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
@@ -341,6 +348,32 @@ def test_c08_sylow_certificates(two_orbit_sweep):
     assert big_sylow >= 100   # order p^2 Sylow subgroups genuinely occur
     _report("c08 sylow certificates", t0,
             f"{certs} certificates, {witnesses} witnesses, {big_sylow} with |P| >= p^2")
+
+
+# products of c08's sweep small enough for the chain-grown reference
+DIFFERENTIAL_SCOPE = 2000
+
+
+def test_c08_certificates_match_chain_grown_reference(two_orbit_sweep):
+    # the listing-grown P is the chain-grown one, so every certificate
+    # field, witness included, is the one checked on the reference P;
+    # and those fields are the reference P's facts read the plain way
+    certs = 0
+    for n in (6, 10):
+        for act, e1, e2 in two_orbit_sweep[n]:
+            if act.group.order > DIFFERENTIAL_SCOPE:
+                continue
+            for p, _pk, _b in _qualifying_primes(n):
+                cert = sylow_certificate(act, p)
+                ref = reference_sylow_subgroup(act.group, p)
+                assert cert == check_sylow(act, p, ref), (n, e1.name, e2.name, p)
+                d, lengths, elementary, stabs, witness = reference_sylow_facts(act, p, ref)
+                assert (cert.d, cert.orbit_lengths) == (d, lengths)
+                if cert.elementary_abelian is not None:
+                    assert (cert.elementary_abelian, cert.stabilizer_count) == (elementary, stabs)
+                    assert cert.derangement_witness == witness
+                certs += 1
+    assert certs == 1292
 
 
 def test_c09_class_vs_enumeration_counts(corpora):

@@ -3,10 +3,13 @@ from math import factorial
 import numpy as np
 import pytest
 
+from derange import derangements
 from derange.derangements import (
+    CertificateError,
     Inconclusive,
     PndrValue,
     TwoOrbitAction,
+    check_sylow,
     classify_case,
     count_nonderangements,
     find_derangement_detailed,
@@ -14,7 +17,7 @@ from derange.derangements import (
     pndr_pair_bound,
     sylow_certificate,
 )
-from derange.group import GroupError, PermutationGroup, factorize
+from derange.group import GroupError, PermutationGroup, ResourceCapExceeded, factorize
 from derange.perm import Perm
 from derange.structure import sylow_subgroup
 from oracles import class_sum_nonderangements, conjugate, elements, is_derangement
@@ -163,6 +166,10 @@ class TestFindDerangement:
     def test_inconclusive_when_capped(self):
         with pytest.raises(Inconclusive):
             find_derangement_detailed(A5, range(5), budget=0, enum_cap=1)
+
+    def test_count_over_cap_raises(self):
+        with pytest.raises(ResourceCapExceeded, match="order 60 over enumeration cap 59"):
+            count_nonderangements(A5, range(5), enum_cap=59)
 
     def test_two_stabilizer_cover_impossible(self):
         # a group is never the union of two proper subgroups, so any
@@ -314,6 +321,62 @@ class TestSylowCertificate:
                 for pt in range(2 * b * p)
             }
             assert cert.stabilizer_count == len(stabs)
+
+
+# S3 acting alike on two orbits of length 3: a wrong Sylow 3-subgroup
+# whose orbits pass the orbit check
+S3_TWICE = PermutationGroup(6, [cyc(6, (0, 1, 2), (3, 4, 5)), cyc(6, (0, 1), (3, 4))])
+# C6 on two orbits of length 6: its Sylow 3-subgroup has four orbits
+C6_TWICE = PermutationGroup(12, [cyc(12, (0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11))])
+
+
+class TestSylowChecks:
+    """check_sylow on a given P reaches each CertificateError branch.  A
+    wrong P reaches the orbit and elementary-abelian checks.  The other
+    three hold for every true Sylow subgroup (they are the theorem), so
+    they are reached by faking the check before them."""
+
+    def test_checks_on_the_grown_subgroup_are_the_certificate(self):
+        for G in [covered_sylow_group(), C6_TWICE]:
+            act = TwoOrbitAction.of(G)
+            assert check_sylow(act, 3, sylow_subgroup(G, 3)) == sylow_certificate(act, 3)
+
+    def test_rejects_a_prime_power(self):
+        act = TwoOrbitAction.of(S3_TWICE)
+        with pytest.raises(GroupError, match="4 is not prime"):
+            check_sylow(act, 4, PermutationGroup(6, []))
+
+    def test_wrong_orbit_lengths(self):
+        # n = 5, p = 5: P needs two orbits of length 5, not ten fixed points
+        act = TwoOrbitAction.of(PermutationGroup(10, [cyc(10, (0, 1, 2, 3, 4), (5, 6, 7, 8, 9))]))
+        with pytest.raises(CertificateError, match="expected 2 orbits of length 5"):
+            check_sylow(act, 5, PermutationGroup(10, []))
+
+    def test_not_elementary_abelian(self):
+        with pytest.raises(CertificateError, match="not elementary abelian"):
+            check_sylow(TwoOrbitAction.of(S3_TWICE), 3, S3_TWICE)
+
+    def test_too_many_stabilizers(self, monkeypatch):
+        # past a faked elementary-abelian check, S3's three distinct
+        # point stabilizers exceed 2b = 2
+        monkeypatch.setattr(derangements, "_is_elementary_abelian", lambda gens, p: True)
+        with pytest.raises(CertificateError, match="3 distinct point stabilizers exceeds 2b = 2"):
+            check_sylow(TwoOrbitAction.of(S3_TWICE), 3, S3_TWICE)
+
+    def test_missing_mandatory_derangement(self, monkeypatch):
+        # n = 5, p = 5, b = 1 < (p+1)/2: with the derangement hidden
+        monkeypatch.setattr(derangements, "least_derangement", lambda rows, points: None)
+        act = TwoOrbitAction.of(PermutationGroup(10, [cyc(10, (0, 1, 2, 3, 4), (5, 6, 7, 8, 9))]))
+        with pytest.raises(CertificateError, match="no derangement in the Sylow subgroup"):
+            sylow_certificate(act, 5)
+
+    def test_d_bound(self, monkeypatch):
+        # n = 6, p = 3, b = 2: P = C3 on four orbits has d = 1 and one
+        # stabilizer, so with its derangements hidden 2 <= d fails
+        monkeypatch.setattr(derangements, "least_derangement", lambda rows, points: None)
+        act = TwoOrbitAction.of(C6_TWICE)
+        with pytest.raises(CertificateError, match="d=1, s=1, b=2"):
+            sylow_certificate(act, 3)
 
 
 def _sylow_of(G, p):

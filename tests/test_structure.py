@@ -5,7 +5,8 @@ import pytest
 
 from derange import GroupError, Perm, PermutationGroup, ResourceCapExceeded, pipeline, structure
 from derange.corpus import enumerate_transitive, load_corpus
-from derange.perm import lex_keys
+from derange.group import BSGS
+from derange.perm import lex_keys, lex_sorted, rows_of
 from derange.structure import (
     ConjugacyClassTable,
     class_products,
@@ -20,10 +21,12 @@ from derange.structure import (
 from oracles import (
     class_sizes,
     class_union_normal_subgroups,
+    closure_rows,
     conjugate,
     elements,
     reference_conjugacy_classes,
     reference_normal_subgroups,
+    reference_sylow_subgroup,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
@@ -354,7 +357,7 @@ def sylow_is_valid(group, p):
     return syl
 
 
-@pytest.mark.parametrize("name,primes", [
+SYLOW_CASES = [
     ("S4", (2, 3)),
     ("A4", (2, 3)),
     ("D5", (2, 5)),
@@ -363,11 +366,75 @@ def sylow_is_valid(group, p):
     ("S5", (2, 3, 5)),
     ("S3xS3", (2, 3)),
     ("PSL(2,7)", (2, 3, 7)),
-])
+]
+
+
+@pytest.mark.parametrize("name,primes", SYLOW_CASES)
 def test_sylow_subgroups(name, primes):
     g = stock(name)
     for p in primes:
         sylow_is_valid(g, p)
+
+
+def _element_set(group) -> list[bytes]:
+    return sorted(r.tobytes() for r in group.element_rows())
+
+
+@pytest.mark.parametrize("name,primes", SYLOW_CASES)
+def test_sylow_matches_chain_grown_reference(name, primes):
+    # the same growth rule on a listing and on a stabilizer chain picks
+    # the same rows, so the two give one element set
+    g = stock(name)
+    for p in primes:
+        assert _element_set(sylow_subgroup(g, p)) == _element_set(reference_sylow_subgroup(g, p))
+
+
+@pytest.mark.parametrize("group,p", [
+    (stock("S4"), 2), (stock("PSL(2,7)"), 2), (stock("S3xS3"), 3), (stock("F20"), 5),
+    (PermutationGroup.symmetric(8), 2), (PermutationGroup.symmetric(8), 3),
+])
+def test_chain_read_off_a_listing_matches_schreier_sims(group, p):
+    P = sylow_subgroup(group, p)
+    chain, ref = P.bsgs, BSGS(P.degree, P.generators)
+    assert chain.order == ref.order == len(P.element_rows())
+    closed = closure_rows(P.degree, rows_of(P.generators, P.degree))
+    assert _element_set(P) == [r.tobytes() for r in closed]
+    # probes in P, in the group outside P, and outside the group
+    rng = np.random.default_rng(5)
+    probes = np.concatenate([
+        group.element_rows(),
+        np.array([rng.permutation(group.degree) for _ in range(200)], dtype=np.uint8),
+    ])
+    assert np.array_equal(chain.contains_rows(probes), ref.contains_rows(probes))
+    assert chain.contains_rows(group.element_rows()).sum() == P.order
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "S3xS3", "PSL(2,7)"])
+def test_listing_chain_of_any_group(name):
+    # reading a chain off a listing needs no p-group: every element is
+    # one product of the transversals read off
+    g = stock(name)
+    listing = lex_sorted(g.element_rows())
+    chain = structure._listing_chain(listing)
+    assert chain.order == g.order
+    assert chain.contains_rows(listing).all()
+    got = PermutationGroup.from_chain(chain).element_rows()
+    assert sorted(r.tobytes() for r in got) == [r.tobytes() for r in listing]
+
+
+def test_p_elements_of_a_group_over_the_cap_raise(monkeypatch):
+    monkeypatch.setattr(structure, "ENUM_CAP", 23)
+    with pytest.raises(ResourceCapExceeded, match="order 24 over enumeration cap 23"):
+        p_element_rows(stock("S4"), 2)
+
+
+def test_sylow_growth_failure_raises(monkeypatch):
+    # a pool missing the elements that would finish P stalls the growth,
+    # which the final order check reports
+    real = structure.p_element_rows
+    monkeypatch.setattr(structure, "p_element_rows", lambda group, p: real(group, p)[:1])
+    with pytest.raises(GroupError, match="not the p-part 8"):
+        sylow_subgroup(stock("S4"), 2)
 
 
 def test_sylow_trivial_when_p_does_not_divide():

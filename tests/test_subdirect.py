@@ -37,6 +37,7 @@ from oracles import (
     elements,
     reference_dedup_isomorphisms,
     reference_isomorphisms,
+    reference_generating_points,
     reference_materialize,
     same_group,
 )
@@ -333,6 +334,13 @@ class TestQuotientIsomorphisms:
             got = [iso.tolist() for iso in quotient_isomorphisms(q1, q2, dedup=False)]
             want = [iso.tolist() for iso in reference_isomorphisms(q1, q2)]
             assert got == want, (q1.parent.name, q1.kernel.order, q2.parent.name, q2.kernel.order)
+
+    def test_generating_points_match_closing_every_candidate(self, degree9_searches):
+        # skipping candidates already in the subgroup keeps every point
+        models = {id(q): q for pair in degree9_searches for q in pair}
+        assert len(models) == 63  # every model verify_degree(9) builds
+        for q in models.values():
+            assert q.generating_points == reference_generating_points(q), q.parent.name
 
     def test_dedup_matches_reference_on_degree9_verify(self, degree9_searches):
         found = kept = 0
@@ -636,6 +644,16 @@ class TestChainFromFactors:
             assert H.bsgs.base == c1.base + [b + n1 for b in c2.base]
             sizes = [len(t) for t in H.bsgs.transversal_rows()]
             assert sizes == [len(t) for t in c1.transversal_rows() + c2.transversal_rows()]
+
+
+    @pytest.mark.parametrize("degree, scope", [(6, 2000), (10, 1200)])
+    def test_orbits_are_the_factors_orbits(self, degree, scope):
+        # the orbits given to the product are those union-find finds
+        # from its generators
+        for d in sweep_descriptors(degree, scope):
+            H = materialize_group(d)
+            fresh = PermutationGroup(H.degree, H.generators)
+            assert [o.tolist() for o in H.orbits()] == [o.tolist() for o in fresh.orbits()]
 
 
 def test_materialize_and_sylow_leave_numpy_ma_unimported():
