@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .derangements import PndrValue, pndr
-from .group import ENUM_CAP, GroupError, PermutationGroup
+from .group import ENUM_CAP, GroupError, PermutationGroup, _join_classes
 from .perm import MAX_DEGREE, Perm
 from .subgroups import ElementTable, subgroup_classes
 
@@ -42,7 +42,16 @@ class GroupCorpus:
 
 
 def _is_imprimitive(group: PermutationGroup) -> bool:
-    return group.degree >= 2 and len(group.minimal_block_systems()) > 0
+    """True iff the action on the first orbit has a nontrivial block
+    system, so iff for some beta in it the block closure of (0, beta)
+    leaves a point of the orbit outside 0's block; the first such beta
+    ends the search."""
+    orbit = group.orbit(0)
+    gens = [g.images for g in group.generators]
+    return any(
+        (_join_classes(group.degree, [(0, beta)], gens)[orbit] > 0).any()
+        for beta in orbit[1:].tolist()
+    )
 
 
 def _whole_domain(degree: int) -> tuple:

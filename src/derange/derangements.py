@@ -122,8 +122,6 @@ class TwoOrbitAction:
         o1, o2 = (tuple(int(x) for x in o) for o in orbits)
         if len(o1) != len(o2):
             raise GroupError(f"orbit lengths differ: {len(o1)} vs {len(o2)}")
-        if len(o1) + len(o2) != group.degree:
-            raise GroupError("orbits do not partition the point set")
         return TwoOrbitAction(group, o1, o2, len(o1))
 
     @property

@@ -9,9 +9,14 @@ reproducible run to run.  The chain is sifted and checked by a batched
 sift of uint8 rows, one array for all of a level's Schreier generators;
 it has the same base, strong generators and transversals as the loop
 that sifts one element at a time (``tests/oracles.py::ReferenceBSGS``).
-A group whose base and strong generators are known by construction
-(a subdirect product, from its factors' chains) gets its chain built
-from them, with no search: ``BSGS.from_strong_generators``.
+Membership is two gathers per level, the row index of a row's base
+image and then that inverse representative; only the one Schreier
+generator that fails is sifted again to find the level where it got
+stuck.  The chain also keys cosets: ``BSGS.coset_keys`` maps each row
+to the element of its coset whose base images are least, level by
+level.  A group whose base and strong generators are known by
+construction (a subdirect product, from its factors' chains) gets its
+chain built from them, with no search: ``BSGS.from_strong_generators``.
 """
 
 from __future__ import annotations
@@ -84,14 +89,33 @@ class BSGS:
         chain._set_order()
         return chain
 
-    def sift_rows(self, rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Each (m, degree) row reduced through levels[start:]: the residue
-        rows and the level where each got stuck, len(base) if none."""
+    def _checked_rows(self, rows) -> np.ndarray:
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.degree:
             # checked before any indexing, which need not fail on a mismatch
             raise GroupError(f"rows of shape {rows.shape} given to a chain of degree {self.degree}")
-        res = rows.astype(np.uint8)
+        return rows.astype(np.uint8, copy=False)
+
+    def _sifted(self, rows: np.ndarray, start: int) -> np.ndarray:
+        """Each uint8 row times the inverse representatives it meets in
+        levels[start:], two gathers per level: the identity iff the row
+        lies in the group those levels describe.
+
+        A base image off the orbit has index -1, which picks the last
+        representative.  Like every representative of the levels below,
+        it lies in the group of the level's generators, which maps the
+        level's orbit, and so the points off it, onto themselves: the
+        row's image of the base point stays off the orbit, and the row
+        never becomes the identity.
+        """
+        for level, b in zip(self._levels[start:], self.base[start:]):
+            rows = level.inv[level.index[rows[:, b]][:, None], rows]
+        return rows
+
+    def sift_rows(self, rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Each (m, degree) row reduced through levels[start:]: the residue
+        rows and the level where each got stuck, len(base) if none."""
+        res = self._checked_rows(rows).copy()
         stuck = np.full(len(res), len(self.base), dtype=np.intp)
         live = np.arange(len(res))
         for i in range(start, len(self.base)):
@@ -111,8 +135,21 @@ class BSGS:
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """mask[i] = row i is an element of the group."""
-        res, stuck = self.sift_rows(rows)
-        return (stuck == len(self.base)) & (res == np.arange(self.degree)).all(axis=1)
+        res = self._sifted(self._checked_rows(rows), 0)
+        return (res == np.arange(self.degree)).all(axis=1)
+
+    def coset_keys(self, rows: np.ndarray) -> np.ndarray:
+        """One element of each row's coset {h * row : h in the group},
+        the same for every row of a coset: the element whose images of
+        the base points are least, in base order.  Level by level, the
+        orbit point the row sends least picks the representative u, and
+        the row becomes u * row (u applied first)."""
+        res = self._checked_rows(rows)
+        at = np.arange(len(res))[:, None]
+        for level in self._levels:
+            least = np.argmin(res[:, level.points], axis=1)
+            res = res[at, level.reps[least]]
+        return res
 
     def __contains__(self, g: Perm) -> bool:
         return bool(self.contains_rows(g.images[None, :])[0])
@@ -178,14 +215,12 @@ class BSGS:
         # us[p, s, x] = s(u_p(x)); back[p, s] = the row of u_(s(p))
         us = gens[np.arange(len(gens))[None, :, None], level.reps[:, None, :]]
         back = level.index[gens[:, level.points].T]
-        ident = np.arange(self.degree, dtype=np.uint8)
         w = level.inv[back[:, :, None], us].reshape(-1, self.degree)
-        w = w[(w != ident).any(axis=1)]
-        res, stuck = self.sift_rows(w, i + 1)
-        bad = np.flatnonzero((stuck < len(self.base)) | (res != ident).any(axis=1))
+        res = self._sifted(w, i + 1)
+        bad = np.flatnonzero((res != np.arange(self.degree)).any(axis=1))
         if not bad.size:
             return None
-        return Perm(res[bad[0]], validate=False), int(stuck[bad[0]])
+        return self.sift(Perm(w[bad[0]], validate=False), i + 1)
 
     def _complete(self, start: int) -> None:
         i = min(start, len(self.base) - 1)

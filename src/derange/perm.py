@@ -164,11 +164,6 @@ def _img(g) -> np.ndarray:
     return g.images if isinstance(g, Perm) else np.asarray(g, dtype=np.uint8)
 
 
-def rows_then(rows: np.ndarray, g) -> np.ndarray:
-    """Row-wise products row * g (apply the row first, then g)."""
-    return _img(g)[rows]
-
-
 def invert_rows(rows: np.ndarray) -> np.ndarray:
     m, n = rows.shape
     inv = np.empty_like(rows)

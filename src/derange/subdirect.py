@@ -23,9 +23,7 @@ from .perm import (
     conjugate_rows,
     fixes_any,
     lex_order,
-    lex_sorted,
     rows_of,
-    rows_then,
 )
 from .structure import normal_subgroups
 from .subgroups import table_closure
@@ -43,8 +41,10 @@ class QuotientModel:
     multiplication with the element at point p, so the table doubles as
     the multiplication table: point of x*y equals table[point(y),
     point(x)].  reps[p] is a parent-group representative of the coset at
-    point p, reps[0] the identity.  enc maps each coset's key (its
-    lex-least element's bytes) to its point.
+    point p, reps[0] the identity.  enc maps each coset's key to its
+    point: the bytes of the coset's element whose images of the kernel
+    chain's base points are least (``BSGS.coset_keys``), which need not
+    be its lex-least element.
     """
 
     parent: PermutationGroup
@@ -53,6 +53,8 @@ class QuotientModel:
     reps: list[Perm] = field(repr=False)
     kernel_rows: np.ndarray = field(repr=False)
     enc: dict[bytes, int] = field(repr=False)
+    # least_in_orbits' masks, by the bytes of the centralizer's points
+    _orbit_masks: dict[bytes, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -70,13 +72,19 @@ class QuotientModel:
         ranks[lex_order(rows_of(self.reps, self.parent.degree))] = np.arange(self.order)
         return ranks
 
-    def least_in_orbits(self, points: np.ndarray, cent: np.ndarray) -> np.ndarray:
-        """mask[i] = points[i] has the least rank of its orbit under
-        conjugation by the elements at the points cent."""
-        t, rank = self.table, self.point_ranks
-        # y^-1 * c * y for every c in points (rows), every y in cent (cols)
-        conj = t[cent[None, :], t[points[:, None], self.inverse_points[cent][None, :]]]
-        return rank[conj].min(axis=1) == rank[points]
+    def least_in_orbits(self, cent: np.ndarray) -> np.ndarray:
+        """mask[p] = point p has the least rank of its orbit under
+        conjugation by the elements at the points cent (an int64 array).
+        Each mask is tabled: the searches into one model ask for the
+        same few centralizers over and over."""
+        key = cent.tobytes()
+        mask = self._orbit_masks.get(key)
+        if mask is None:
+            t, rank = self.table, self.point_ranks
+            # y^-1 * c * y for every point c (rows), every y in cent (cols)
+            conj = t[cent[None, :], t[:, self.inverse_points[cent]]]
+            mask = self._orbit_masks[key] = rank[conj].min(axis=1) == rank
+        return mask
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -145,7 +153,7 @@ class QuotientModel:
 
     def point_of(self, g: Perm) -> int:
         """The point of the coset holding the parent-group element g."""
-        p = self.enc.get(_coset_key(self.kernel_rows, g))
+        p = self.enc.get(self.kernel.bsgs.coset_keys(g.images[None, :]).tobytes())
         if p is None:
             raise GroupError("element lies in no coset of the quotient model")
         return p
@@ -182,17 +190,18 @@ class QuotientModel:
         return bitmap, rows
 
 
-def _coset_key(kernel_rows: np.ndarray, g: Perm) -> bytes:
-    """The bytes of the lex-least element of the coset of g."""
-    return lex_sorted(rows_then(kernel_rows, g))[0].tobytes()
-
-
 def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) -> QuotientModel:
     """Regular action of G on the cosets of a normal subgroup N.
 
     Each model is built once per (G, N): it is kept on N and returned to
     every later call with the same parent G, after the cap check.  Its
     kernel is a copy of N with the same generators and stabilizer chain.
+
+    The cosets are enumerated breadth first from the identity's: for
+    each point p in order and each generator s of G in order, the coset
+    of reps[p] * s gets the next point unless its key
+    (``BSGS.coset_keys`` on N's chain) is known already.  The keys of
+    all the (p, s) of one round of points are found in one call.
     """
     if N.degree != G.degree:
         raise GroupError("kernel degree differs from parent degree")
@@ -208,28 +217,34 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
     if conj and not N.bsgs.contains_rows(np.concatenate(conj)).all():
         raise GroupError("kernel is not normal in the parent")
 
-    kernel_rows = N.element_rows()
-    reps = [Perm.identity(G.degree)]
-    enc = {_coset_key(kernel_rows, reps[0]): 0}
+    n, chain = G.degree, N.bsgs
+    gens = rows_of(G.generators, n)
+    rep_rows = [np.arange(n, dtype=np.uint8)]
+    enc = {chain.coset_keys(rep_rows[0][None, :]).tobytes(): 0}
     disc: list[tuple[int, int]] = [(0, -1)]
-    gen_rows = [np.empty(m, dtype=np.int64) for _ in G.generators]
-    p = 0
-    while p < len(reps):
-        for si, s in enumerate(G.generators):
-            c = reps[p] * s
-            key = _coset_key(kernel_rows, c)
+    gen_rows = np.empty((len(gens), m), dtype=np.int64)
+    lo = 0
+    while lo < len(rep_rows):
+        hi = len(rep_rows)
+        # cands[p - lo, s] = reps[p] * s
+        cands = gens[:, np.array(rep_rows[lo:hi])].transpose(1, 0, 2).reshape(-1, n)
+        keys = chain.coset_keys(cands).tobytes()
+        for j in range(len(cands)):
+            p, si = divmod(j, len(gens))
+            key = keys[j * n:(j + 1) * n]
             q = enc.get(key)
             if q is None:
-                q = len(reps)
+                q = len(rep_rows)
                 if q >= m:
                     raise GroupError("coset enumeration exceeded the expected count")
                 enc[key] = q
-                reps.append(c)
-                disc.append((p, si))
-            gen_rows[si][p] = q
-        p += 1
-    if len(reps) != m:
-        raise GroupError(f"coset enumeration found {len(reps)} cosets, expected {m}")
+                rep_rows.append(cands[j])
+                disc.append((lo + p, si))
+            gen_rows[si, lo + p] = q
+        lo = hi
+    if len(rep_rows) != m:
+        raise GroupError(f"coset enumeration found {len(rep_rows)} cosets, expected {m}")
+    reps = [Perm(r, validate=False) for r in np.array(rep_rows)]
 
     # right multiplication by reps[q] = (right mult by reps[p]) then by s
     # where q was discovered as the coset of reps[p]*s
@@ -244,7 +259,7 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
     # (and G) alive after their last use until the cyclic collector runs
     kernel = PermutationGroup(N.degree, N.generators, name=N.name)
     kernel._bsgs = N.bsgs
-    model = QuotientModel(G, kernel, table, reps, kernel_rows, enc)
+    model = QuotientModel(G, kernel, table, reps, N.element_rows(), enc)
     if model.order * N.order != G.order:
         raise GroupError("quotient order times kernel order is not the parent order")
     N._quotient = model
@@ -310,7 +325,7 @@ class _IsoSearch:
         tree, edges = self.trees[depth]
         cands = self.cands[depth]
         if cent is not None:
-            cands = cands[self.q2.least_in_orbits(cands, cent)]
+            cands = cands[self.q2.least_in_orbits(cent)[cands]]
         table = self.q2.table
         for c in cands.tolist():
             if used[c]:

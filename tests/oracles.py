@@ -5,7 +5,8 @@ shortcuts, no lattice pruning, just exhaustive closure growth.  Also the
 one-element helpers the tests share (a group's elements as ``Perm``s,
 conjugation, the derangement test, equality of two subgroups, the direct
 product of two groups, a block system's blocks and a class table's
-sizes, and a quotient model's coset as rows), the class-sum count of
+sizes, and a quotient model's coset as rows), the lex-least coset key
+and the quotient model enumerated with it, the class-sum count of
 non-derangements that the scan must match, the reference versions of
 the class table, the chain-grown Sylow subgroup and the plain reading
 of its certificate facts, the stabilizer chain, the normal closure, a
@@ -41,7 +42,6 @@ from derange.perm import (
     lex_keys,
     lex_sorted,
     rows_of,
-    rows_then,
 )
 from derange.structure import (
     ConjugacyClass,
@@ -190,7 +190,42 @@ def reference_generating_points(model) -> list[int]:
 def coset_rows(model, p: int) -> np.ndarray:
     """The parent-group elements of a quotient model's coset at point p,
     as rows: each kernel element, then the coset's representative."""
-    return rows_then(model.kernel_rows, model.reps[p])
+    return model.reps[p].images[model.kernel_rows]
+
+
+def lex_coset_key(kernel_rows: np.ndarray, g: Perm) -> bytes:
+    """The bytes of the lex-least element of the coset N * g, N listed
+    as kernel_rows."""
+    return lex_sorted(g.images[kernel_rows])[0].tobytes()
+
+
+def reference_quotient(G, N) -> tuple[list[Perm], np.ndarray, dict[bytes, int]]:
+    """(reps, table, enc) of ``subdirect.quotient`` keyed one coset at a
+    time by its lex-least element: breadth first from the identity's
+    coset, reps[p] * s for each point p in order and each generator s
+    of G, with enc mapping each coset's lex-least bytes to its point."""
+    kernel_rows = N.element_rows()
+    m = G.order // N.order
+    reps = [Perm.identity(G.degree)]
+    enc = {lex_coset_key(kernel_rows, reps[0]): 0}
+    gen_point = [[0] * m for _ in G.generators]
+    found = [(0, -1)]
+    for p in range(m):
+        for si, s in enumerate(G.generators):
+            c = reps[p] * s
+            q = enc.setdefault(lex_coset_key(kernel_rows, c), len(reps))
+            if q == len(reps):
+                reps.append(c)
+                found.append((p, si))
+            gen_point[si][p] = q
+    if len(reps) != m:
+        raise ValueError(f"{len(reps)} cosets found, {m} expected")
+    table = np.empty((m, m), dtype=np.int64)
+    table[0] = np.arange(m)
+    for q in range(1, m):
+        p, si = found[q]
+        table[q] = np.asarray(gen_point[si])[table[p]]
+    return reps, table, enc
 
 
 class ReferenceBSGS:

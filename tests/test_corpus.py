@@ -9,6 +9,7 @@ import hashlib
 import json
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,7 @@ from oracles import are_conjugate, same_group, subgroup_scan
 TRANSITIVE_COUNTS = {2: 1, 3: 2, 4: 5, 5: 5, 6: 16, 7: 7}
 IMPRIMITIVE_COUNTS = {2: 0, 3: 0, 4: 3, 5: 0, 6: 12, 7: 0}
 
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 _CACHE = {}
 
 
@@ -143,6 +145,29 @@ class TestImprimitiveFilter:
                 assert e.primitive
             else:
                 assert not e.primitive
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_flags_match_minimal_block_systems(self, n):
+        # the filter stops at the first nontrivial block closure; the
+        # flag must be the one the full list of minimal systems gives
+        corpus = corpus_for(n) if n <= BUILTIN_CAP else load_corpus(FIXTURES / f"degree{n:02d}", n)
+        imprimitive_filter(corpus)
+        assert [e.primitive for e in corpus.entries] == [
+            not e.group.minimal_block_systems() for e in corpus.entries
+        ]
+
+    def test_flags_read_the_first_orbit(self):
+        groups = {
+            "c4 on 0..3, swap 4 5": [[(0, 1, 2, 3), (4, 5)]],
+            "s4 on 0..3, swap 4 5": [[(0, 1, 2, 3)], [(0, 1), (4, 5)]],
+            "0 fixed, c4 on 1..4": [[(1, 2, 3, 4)]],
+        }
+        entries = [
+            CorpusEntry(name, PermutationGroup.from_cycles(6, gens)) for name, gens in groups.items()
+        ]
+        imprimitive_filter(GroupCorpus(6, entries, "fixtures:x"), enum_cap=0)
+        assert [e.primitive for e in entries] == [False, True, True]
+        assert [e.primitive for e in entries] == [not e.group.minimal_block_systems() for e in entries]
 
     def test_fills_missing_pndr(self):
         group = PermutationGroup.from_cycles(4, [[(0, 1, 2, 3)]])

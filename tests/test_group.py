@@ -232,6 +232,92 @@ def test_contains_rows_matches_element_set():
     assert a4.bsgs.contains_rows(rows[:0]).shape == (0,)
 
 
+def sift_membership(b, rows):
+    """Membership read off sift_rows: the row passes every level and its
+    residue is the identity."""
+    res, stuck = b.sift_rows(rows)
+    return (stuck == len(b.base)) & (res == np.arange(b.degree)).all(axis=1)
+
+
+def rows_stuck_at_each_level(b, rng, count=3):
+    """(rows, level) of rows whose sift gets stuck at each level that can
+    hold one: t swaps the level's base point with a point off its orbit
+    and off the base points before it, and t * s stays stuck there for s
+    a product of representatives of that level and those below."""
+    n, tr = b.degree, b.transversal_rows()
+    rows, levels = [], []
+    for i, point in enumerate(b.base):
+        off = np.setdiff1d(np.arange(n), np.concatenate([tr[i][:, point], b.base[:i]]))
+        if not off.size:
+            continue
+        t = np.arange(n)
+        t[[point, off[0]]] = off[0], point
+        for _ in range(count):
+            s = np.arange(n)
+            for reps in tr[i:]:
+                s = reps[rng.integers(len(reps))][s]
+            rows.append(s[t])
+            levels.append(i)
+    return np.array(rows, dtype=np.uint8).reshape(-1, n), levels
+
+
+def membership_probes(group, rng, count=40):
+    """Random rows, random members, rows stuck at each level that can
+    hold one, and a row that passes every level to a residue other than
+    the identity when two points lie off the base."""
+    n, b = group.degree, group.bsgs
+    stuck, levels = rows_stuck_at_each_level(b, rng)
+    assert b.sift_rows(stuck)[1].tolist() == levels
+    passing = []
+    free = np.setdiff1d(np.arange(n), b.base)
+    if free.size >= 2:
+        # a swap of two points off the base fixes every base point
+        swap = np.arange(n)
+        swap[free[:2]] = free[1::-1]
+        passing.append(swap)
+    return np.concatenate([
+        np.array([rng.permutation(n) for _ in range(count)], dtype=np.uint8),
+        np.array([group.random_element(rng).images for _ in range(count)], dtype=np.uint8),
+        stuck,
+        np.array(passing, dtype=np.uint8).reshape(-1, n),
+    ]), set(levels)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_contains_rows_matches_sift_rows_on_corpus(n):
+    rng = np.random.default_rng(n)
+    members = outside = levels = 0
+    for e in corpus(n).entries:
+        rows, stuck_levels = membership_probes(e.group, rng)
+        got = e.group.bsgs.contains_rows(rows)
+        assert np.array_equal(got, sift_membership(e.group.bsgs, rows)), e.name
+        members += int(got.sum())
+        outside += int((~got).sum())
+        levels += len(stuck_levels)
+    assert members
+    if n >= 4:  # below, no level has a point off its orbit and the base
+        assert outside and levels
+
+
+def test_contains_rows_matches_sift_rows_at_degree_250():
+    n = 250
+    rotation = Perm(np.roll(np.arange(n), -1))
+    reflection = Perm(-np.arange(n) % n)
+    # a dihedral group on 0..124 and a 5-cycle on 245..249: many points
+    # lie off every orbit
+    part = np.arange(n)
+    part[:125] = np.roll(part[:125], -1)
+    part[245:] = np.roll(part[245:], -1)
+    flip = np.arange(n)
+    flip[:125] = -np.arange(125) % 125
+    for gens in ([rotation, reflection], [Perm(part), Perm(flip)]):
+        group = PermutationGroup(n, gens)
+        rows, stuck_levels = membership_probes(group, np.random.default_rng(250))
+        got = group.bsgs.contains_rows(rows)
+        assert stuck_levels and got.any() and not got.all()
+        assert np.array_equal(got, sift_membership(group.bsgs, rows))
+
+
 @pytest.mark.parametrize("gens", [[], [cyc(3, (0, 1, 2))]], ids=["empty-base", "base"])
 @pytest.mark.parametrize("g", [Perm([1, 0]), Perm([1, 0, 3, 2])], ids=["2-point", "4-point"])
 def test_chain_rejects_other_degrees(gens, g):
@@ -245,6 +331,8 @@ def test_chain_rejects_other_degrees(gens, g):
         b.sift_rows(g.images[None, :])
     with pytest.raises(GroupError):
         b.contains_rows(g.images[None, :])
+    with pytest.raises(GroupError):
+        b.coset_keys(g.images[None, :])
     assert (b.base, [s.key for s in b.strong_gens]) == before
 
 

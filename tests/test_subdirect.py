@@ -23,6 +23,7 @@ from derange.perm import Perm, least_derangement
 from derange.pipeline import verify_degree
 from derange.structure import normal_subgroups
 from derange.subdirect import (
+    QUOTIENT_CAP,
     SubdirectDescriptor,
     goursat_enumerate,
     materialize_group,
@@ -35,10 +36,12 @@ from oracles import (
     conjugate,
     coset_rows,
     elements,
+    lex_coset_key,
     reference_dedup_isomorphisms,
     reference_isomorphisms,
     reference_generating_points,
     reference_materialize,
+    reference_quotient,
     same_group,
 )
 
@@ -100,6 +103,41 @@ def coset_lookup(model):
     return {
         row.tobytes(): p for p in range(model.order) for row in coset_rows(model, p)
     }
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_chain_coset_keys_match_lex_least_keys(n):
+    # every (G, N) of the corpus within QUOTIENT_CAP: the model keyed by
+    # N's chain has the reps and table of the one keyed by each coset's
+    # lex-least element, and point_of agrees with the lex-least key
+    corpus = enumerate_transitive(n) if n <= 7 else load_corpus(FIXTURES / f"degree{n:02d}", n)
+    rng = np.random.default_rng(n)
+    models = 0
+    for e in corpus.entries:
+        G = e.group
+        outside = next(
+            (g for g in (Perm(rng.permutation(n)) for _ in range(200)) if g not in G), None
+        )
+        for N in normal_subgroups(G):
+            if G.order // N.order > QUOTIENT_CAP:
+                continue
+            q = quotient(G, N)
+            reps, table, enc = reference_quotient(G, N)
+            assert [r.key for r in q.reps] == [r.key for r in reps], (e.name, N.order)
+            assert np.array_equal(q.table, table), (e.name, N.order)
+            assert [q.point_of(r) for r in reps] == list(range(q.order))
+            for p in sorted({0, 1 % q.order, q.order - 1}):
+                rows = coset_rows(q, p)
+                keys = q.kernel.bsgs.coset_keys(rows)
+                assert (keys == keys[0]).all() and q.enc[keys[0].tobytes()] == p
+                for row in rows[rng.choice(len(rows), min(len(rows), 8), replace=False)]:
+                    g = Perm(row, validate=False)
+                    assert q.point_of(g) == enc[lex_coset_key(q.kernel_rows, g)] == p
+            if outside is not None:
+                with pytest.raises(GroupError, match="no coset"):
+                    q.point_of(outside)
+            models += 1
+    assert models >= len(corpus)
 
 
 class TestQuotient:
