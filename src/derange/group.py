@@ -17,6 +17,10 @@ to the element of its coset whose base images are least, level by
 level.  A group whose base and strong generators are known by
 construction (a subdirect product, from its factors' chains) gets its
 chain built from them, with no search: ``BSGS.from_strong_generators``.
+A group given by all its elements (a normal subgroup off a class table,
+a Sylow subgroup) holds them as a lex-sorted listing, which gives its
+order and elements; its chain is read off the listing, again with no
+search, only when asked for (``BSGS.from_listing``).
 """
 
 from __future__ import annotations
@@ -86,6 +90,60 @@ class BSGS:
         chain._levels = [None] * len(chain.base)
         for i in range(len(chain.base)):
             chain._rebuild(i)
+        chain._set_order()
+        return chain
+
+    @classmethod
+    def from_listing(cls, listing: np.ndarray) -> "BSGS":
+        """The chain of a group given by all its elements, read off the
+        listing with no sifting.
+
+        Each base point is the first point the current stabilizer moves,
+        and the stabilizer's first element (in listing order) taking it
+        to each point of its orbit is that point's representative.  The
+        strong generators are picked from the deepest level up: those of
+        the levels below fix the level's base point, and a level's
+        representative is adjoined when its point is not yet in the base
+        point's orbit under the ones picked so far.  Those then reach the
+        whole orbit, so with the stabilizer of the next base point they
+        generate the level's stabilizer, as a chain requires.
+        """
+        degree = listing.shape[1]
+        ident = np.arange(degree, dtype=np.uint8)
+        chain = cls(degree)
+        reps = []
+        stab = listing
+        while len(stab) > 1:
+            b = int(np.flatnonzero((stab != ident).any(axis=0))[0])
+            images = stab[:, b]
+            order = np.argsort(images, kind="stable")
+            ranked = images[order]
+            chain.base.append(b)
+            reps.append(stab[order[np.concatenate([[True], ranked[1:] != ranked[:-1]])]])
+            stab = stab[images == b]
+        picked = []  # per level, deepest first
+        gens: list[list[int]] = []
+        for b, level_reps in zip(reversed(chain.base), reversed(reps)):
+            reached = bytearray(degree)
+            reached[b] = 1
+            orbit = [b]
+            picked.append([])
+            for row in level_reps.tolist():
+                if reached[row[b]]:
+                    continue
+                picked[-1].append(row)
+                gens.append(row)
+                for p in orbit:  # grows while it is walked
+                    for g in gens:
+                        if not reached[g[p]]:
+                            reached[g[p]] = 1
+                            orbit.append(g[p])
+        rows = [row for level in reversed(picked) for row in level]
+        chain._gen_rows = np.array(rows, dtype=np.uint8).reshape(-1, degree)
+        chain.strong_gens = [Perm(row, validate=False) for row in chain._gen_rows]
+        chain._levels = [None] * len(chain.base)
+        for i, level_reps in enumerate(reps):
+            chain._set_level(i, chain._level_gens(i), level_reps[:, chain.base[i]], level_reps)
         chain._set_order()
         return chain
 
@@ -178,10 +236,22 @@ class BSGS:
         for level in self._levels:
             self.order *= len(level.points)
 
-    def _rebuild(self, i: int) -> None:
+    def _level_gens(self, i: int) -> np.ndarray:
+        """The rows of the strong generators fixing base[:i]."""
         prefix = self.base[:i]
         rows = self._gen_rows
-        gens = rows[(rows[:, prefix] == np.array(prefix, dtype=np.uint8)).all(axis=1)] if i else rows
+        return rows[(rows[:, prefix] == np.array(prefix, dtype=np.uint8)).all(axis=1)] if i else rows
+
+    def _set_level(self, i: int, gens: np.ndarray, points: np.ndarray, reps: np.ndarray) -> None:
+        """Level i from its generator rows, its orbit points, sorted, and
+        their representative rows."""
+        reps.setflags(write=False)
+        index = np.full(self.degree, -1, dtype=np.intp)
+        index[points] = np.arange(len(points))
+        self._levels[i] = _Level(gens, points, reps, invert_rows(reps), index)
+
+    def _rebuild(self, i: int) -> None:
+        gens = self._level_gens(i)
         images = gens.tolist()
         # breadth-first orbit of base[i]: point p, in discovery order, and
         # generator s reach q = s(p) with u_q = u_p * s the first time; the
@@ -199,12 +269,7 @@ class BSGS:
                     pts.append(q)
                     reps.append([img[x] for x in rep])
         order = sorted(range(len(pts)), key=pts.__getitem__)
-        points = np.array(pts)[order]
-        reps = np.array([reps[k] for k in order], dtype=np.uint8)
-        reps.setflags(write=False)
-        index = np.full(self.degree, -1, dtype=np.intp)
-        index[points] = np.arange(len(points))
-        self._levels[i] = _Level(gens, points, reps, invert_rows(reps), index)
+        self._set_level(i, gens, np.array(pts)[order], np.array([reps[k] for k in order], dtype=np.uint8))
 
     def _verify_level(self, i: int):
         """The first Schreier generator u_p * s * u_(s(p))^-1 of level i,
@@ -257,9 +322,12 @@ class PermutationGroup:
                 continue
             seen.add(g.key)
             gens.append(g)
-        self.generators: list[Perm] = gens
+        # None for a group given by its listing alone: see generators
+        self._generators: list[Perm] | None = gens
         self.name = name
         self._bsgs: BSGS | None = None
+        # all elements as lex-sorted rows, when the group was given by them
+        self._listing: np.ndarray | None = None
         self._orbits: list[np.ndarray] | None = None
         # the quotient model by this group, kept by subdirect.quotient
         self._quotient = None
@@ -292,14 +360,39 @@ class PermutationGroup:
         group._bsgs = chain
         return group
 
+    @staticmethod
+    def from_listing(listing: np.ndarray, generators=None, name: str | None = None) -> "PermutationGroup":
+        """The group whose elements are the rows of a lex-sorted listing,
+        which the caller vouches is closed under products.  Its order and
+        element rows are read off the listing, and its chain is read off
+        it (``BSGS.from_listing``) when first asked for.  Without
+        generators it is generated by that chain's strong generators."""
+        listing.setflags(write=False)
+        group = PermutationGroup(listing.shape[1], generators or [], name=name)
+        group._listing = listing
+        if generators is None:
+            group._generators = None
+        return group
+
+    @property
+    def generators(self) -> list[Perm]:
+        if self._generators is None:
+            self._generators = list(self.bsgs.strong_gens)
+        return self._generators
+
     @property
     def bsgs(self) -> BSGS:
         if self._bsgs is None:
-            self._bsgs = BSGS(self.degree, self.generators)
+            if self._listing is not None:
+                self._bsgs = BSGS.from_listing(self._listing)
+            else:
+                self._bsgs = BSGS(self.degree, self.generators)
         return self._bsgs
 
     @property
     def order(self) -> int:
+        if self._listing is not None:
+            return len(self._listing)
         return self.bsgs.order
 
     def __contains__(self, g: Perm) -> bool:
@@ -356,10 +449,15 @@ class PermutationGroup:
     def element_blocks(self, block_rows: int = 1 << 15):
         """Yield all elements as uint8 row blocks, in a fixed order.
 
-        The order is the odometer over stabilizer-chain transversals with
-        the top level varying slowest.  Concatenated blocks enumerate the
-        group exactly once.
+        The order is the listing's, when the group holds one, and else the
+        odometer over stabilizer-chain transversals with the top level
+        varying slowest.  Concatenated blocks enumerate the group exactly
+        once.
         """
+        if self._listing is not None:
+            for lo in range(0, len(self._listing), block_rows):
+                yield self._listing[lo:lo + block_rows]
+            return
         tr = self.bsgs.transversal_rows()
         if not tr:
             yield np.arange(self.degree, dtype=np.uint8)[None, :]
@@ -397,6 +495,8 @@ class PermutationGroup:
             raise ResourceCapExceeded(
                 f"group order {self.order} exceeds enumeration cap {cap}"
             )
+        if self._listing is not None:
+            return self._listing
         return np.concatenate(list(self.element_blocks()), axis=0)
 
     def random_element(self, rng: np.random.Generator) -> Perm:

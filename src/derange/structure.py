@@ -6,16 +6,19 @@ is labelled with the least index of its orbit under conjugation by the
 generators.  It feeds the normal-subgroup lattice, which is searched in
 class space: a normal subgroup is a union of classes closed under the
 tabled class products (``class_products``), so each member is a bitmask
-over the classes, and only a mask seen for the first time gets a
-stabilizer chain.  Class tables do not count anything: counting is a
-scan of the element blocks (``derangements.count_nonderangements``).
+over the classes, and each mask's group is the table's rows in those
+classes, checked closed, with no Schreier-Sims.  Such a group, like a
+Sylow subgroup, holds its lex-sorted listing, and its stabilizer chain
+is read off the listing only when asked for.  Class tables do not count
+anything: counting is a scan of the element blocks
+(``derangements.count_nonderangements``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .group import BSGS, ENUM_CAP, GroupError, PermutationGroup, ResourceCapExceeded, factorize
+from .group import ENUM_CAP, GroupError, PermutationGroup, ResourceCapExceeded, factorize
 from .perm import Perm, conjugate_rows, invert_rows, lex_keys, lex_sorted, rows_of
 
 
@@ -103,29 +106,33 @@ def conjugacy_classes(group: PermutationGroup, cap: int = 10**6) -> ConjugacyCla
 # ---------------------------------------------------------------------------
 # normal subgroups
 
-def normal_closure(group: PermutationGroup, seeds) -> PermutationGroup:
-    """Smallest normal subgroup of group containing the seed elements.
+def normal_closure(table: ConjugacyClassTable, mask: int) -> PermutationGroup:
+    """The normal subgroup that is the union of the classes of mask,
+    checked closed under products.
 
-    The queue is a stack of rows.  One batched membership test finds the
-    topmost row outside the closure so far; the members above it are
-    discarded, since a member stays one as the closure grows, and that
-    row is adjoined and its conjugates by the generators pushed.  The
-    extensions are those of popping and adjoining one row at a time.
+    Its elements are the table's rows in those classes, already
+    lex-sorted.  Each of them times the representative of each of its
+    classes must land in those classes again, found by one search of the
+    table's lex keys; else GroupError.  That suffices: for x and a
+    conjugate y = g^-1 r g of a representative r, x * y is the conjugate
+    by g of (g x g^-1) * r, and g x g^-1 lies in the union too.  So the
+    union is closed under products, a subgroup, and normal as a union of
+    classes.
     """
-    b = BSGS(group.degree)
-    pairs = [(g, g.inverse()) for g in group.generators]
-    queue = rows_of(list(seeds), group.degree)
-    while len(queue):
-        outside = np.flatnonzero(~b.contains_rows(queue))
-        if not outside.size:
-            break
-        top = outside[-1]
-        h = queue[top]
-        b.extend(Perm(h, validate=False))
-        queue = np.concatenate(
-            [queue[:top]] + [conjugate_rows(h[None, :], g, g_inv) for g, g_inv in pairs]
-        )
-    return PermutationGroup.from_chain(b)
+    classes = _bits(mask)
+    inside = np.zeros(len(table), dtype=bool)
+    inside[classes] = True
+    member = inside[table.class_of]
+    rows = table.rows[member]
+    if not inside.all():  # the whole listing is the group
+        keys = lex_keys(table.rows)
+        reps = rows_of([table.classes[c].rep for c in classes], table.group.degree)
+        # products[r, x] = rows[x] * reps[r]
+        probe = lex_keys(reps[:, rows].reshape(-1, table.group.degree))
+        at = np.searchsorted(keys, probe)
+        if not (keys.take(at, mode="clip") == probe).all() or not member.take(at, mode="clip").all():
+            raise GroupError(f"the classes of mask {mask:#x} are not closed under products")
+    return PermutationGroup.from_listing(rows)
 
 
 def class_products(table: ConjugacyClassTable) -> list[list[int]]:
@@ -163,7 +170,7 @@ def _bits(mask: int) -> list[int]:
 
 
 def normal_subgroups(group: PermutationGroup, class_cap: int = 10**6) -> list[PermutationGroup]:
-    """Every normal subgroup, smallest order first.
+    """Every normal subgroup, sorted by order and then by class mask.
 
     A normal subgroup is a union of classes closed under products, so
     each one is a bitmask over the class table closed under
@@ -173,16 +180,13 @@ def normal_subgroups(group: PermutationGroup, class_cap: int = 10**6) -> list[Pe
     normal subgroup is the join of its classes' atoms, so closing the
     atoms under joins finds them all.  The join rounds are semi-naive:
     after the first, only pairs with a member new since the last round
-    are joined, and a nested pair is skipped, since its join is its
-    larger side.
+    are joined, and a pair is skipped when its union is a member (a
+    nested pair, say) or was closed before.
 
-    normal_closure builds a member's chain only when its mask is new: an
-    atom's from its class representative, a join's from both sides'
-    generators.  Atoms go in class order, and join rounds run over the
-    members listed by order, each order's in the order found, so each
-    kept generator list is the one of joining every pair every round and
-    keeping the first of equal groups.  A member whose order is not the
-    size of its classes raises GroupError.
+    Bit i of a mask is class i of the table, in its (size, rep) order,
+    and members of one order are listed by their masks as integers.
+    normal_closure builds each member off the table's listing, once per
+    mask, and checks it closed.
     """
     table = conjugacy_classes(group, cap=class_cap)
     sizes = [c.size for c in table]
@@ -192,51 +196,34 @@ def normal_subgroups(group: PermutationGroup, class_cap: int = 10**6) -> list[Pe
     def close(mask: int, done: int) -> int:
         """The least product-closed union of classes containing mask,
         given that the classes of done are closed among themselves."""
-        todo = mask & ~done
-        while todo:
-            i = todo.bit_length() - 1
-            todo ^= 1 << i
-            for j in _bits(mask):
-                new = supp[i][j] & ~mask
-                mask |= new
-                todo |= new
+        inside = _bits(mask)
+        todo = _bits(mask & ~done)
+        for i in todo:  # grows while it is walked
+            row = supp[i]
+            met = 0
+            for j in inside:
+                met |= row[j]
+            new = _bits(met & ~mask)
+            mask |= met
+            inside += new
+            todo += new
         return mask
 
-    members = {one: PermutationGroup(group.degree, [], name="1")}
-    lattice: dict[int, list[int]] = {1: [one]}  # order -> masks, in the order found
-
-    def add(mask: int, seeds) -> bool:
-        if mask in members:
-            return False
-        h = normal_closure(group, seeds)
-        size = sum(sizes[c] for c in _bits(mask))
-        if h.order != size:
-            raise GroupError(f"normal closure of order {h.order} on classes of total size {size}")
-        members[mask] = h
-        lattice.setdefault(size, []).append(mask)
-        return True
-
-    for i, cls in enumerate(table):
-        if 1 << i != one:
-            add(close(one | 1 << i, one), [cls.rep])
-    out = [m for bucket in lattice.values() for m in bucket]
-    fresh = set(out)
+    fresh = {close(one | 1 << i, one) for i in range(len(table))}
+    masks = fresh | {one}
+    unions = set(masks)  # unions of pairs whose closures are known
     while fresh:
-        added = set()
-        for i, a in enumerate(out):
-            for b in out[i + 1:]:
-                if a not in fresh and b not in fresh:
-                    continue
-                if a | b in (a, b):
-                    continue
-                join = close(a | b, a)
-                if add(join, members[a].generators + members[b].generators):
-                    added.add(join)
-        fresh = added
-        out = [m for bucket in lattice.values() for m in bucket]
-    groups = [members[m] for m in out]
-    groups.sort(key=lambda h: (h.order, [g.key for g in h.generators]))
-    return groups
+        joins = set()
+        for a in fresh:
+            for b in masks:
+                if a | b not in unions:
+                    unions.add(a | b)
+                    joins.add(close(a | b, a))
+        fresh = joins - masks
+        masks |= fresh
+        unions |= fresh
+    order = sorted(masks, key=lambda m: (sum(sizes[c] for c in _bits(m)), m))
+    return [normal_closure(table, m) for m in order]
 
 
 # ---------------------------------------------------------------------------
@@ -293,32 +280,6 @@ def _in_listing(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return keys.take(np.searchsorted(keys, probe), mode="clip") == probe
 
 
-def _listing_chain(listing: np.ndarray) -> BSGS:
-    """The stabilizer chain of a group given by all its elements.
-
-    Each base point is the first point the current stabilizer moves, and
-    the stabilizer's first element (in listing order) taking it to each
-    other point of its orbit is a strong generator.  The strong
-    generators fixing the first i base points are the representatives of
-    the levels from i on, whose products list that stabilizer, so they
-    generate it, as from_strong_generators requires.
-    """
-    degree = listing.shape[1]
-    ident = np.arange(degree, dtype=np.uint8)
-    base, strong = [], []
-    stab = listing
-    while len(stab) > 1:
-        b = int(np.flatnonzero((stab != ident).any(axis=0))[0])
-        images = stab[:, b]
-        order = np.argsort(images, kind="stable")
-        ranked = images[order]
-        first = order[np.concatenate([[True], ranked[1:] != ranked[:-1]])]
-        strong += [Perm(row, validate=False) for row in stab[first] if row[b] != b]
-        base.append(b)
-        stab = stab[images == b]
-    return BSGS.from_strong_generators(degree, base, strong)
-
-
 def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
     """One Sylow p-subgroup, grown inside normalizers.
 
@@ -333,8 +294,7 @@ def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
     blocks, one membership search per block.  P<g> is the union of the
     disjoint cosets P g^j for j below the least i >= 1 with g^i in P.
 
-    The result is generated by the adjoined rows and carries the chain
-    read off its listing.
+    The result is generated by the adjoined rows and holds its listing.
     """
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
@@ -370,6 +330,5 @@ def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
         keys = lex_keys(listing)
     if len(listing) != target:
         raise GroupError(f"grew a {p}-subgroup of order {len(listing)}, not the p-part {target}")
-    P = PermutationGroup(n, [Perm(g, validate=False) for g in gens], name=f"Sylow_{p}")
-    P._bsgs = _listing_chain(listing)
-    return P
+    return PermutationGroup.from_listing(
+        listing, [Perm(g, validate=False) for g in gens], name=f"Sylow_{p}")

@@ -195,7 +195,8 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
 
     Each model is built once per (G, N): it is kept on N and returned to
     every later call with the same parent G, after the cap check.  Its
-    kernel is a copy of N with the same generators and stabilizer chain.
+    kernel is a copy of N with the same generators, stabilizer chain and
+    listing.
 
     The cosets are enumerated breadth first from the identity's: for
     each point p in order and each generator s of G in order, the coset
@@ -258,7 +259,7 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
     # itself: N holds the model, and a reference cycle would keep both
     # (and G) alive after their last use until the cyclic collector runs
     kernel = PermutationGroup(N.degree, N.generators, name=N.name)
-    kernel._bsgs = N.bsgs
+    kernel._bsgs, kernel._listing = N.bsgs, N._listing
     model = QuotientModel(G, kernel, table, reps, N.element_rows(), enc)
     if model.order * N.order != G.order:
         raise GroupError("quotient order times kernel order is not the parent order")
@@ -412,10 +413,12 @@ def goursat_enumerate(
         )
     n1s = normals1 if normals1 is not None else normal_subgroups(G1)
     n2s = normals2 if normals2 is not None else normal_subgroups(G2)
+    m2s = [G2.order // N2.order for N2 in n2s]
     out = []
     for N1 in n1s:
-        for N2 in n2s:
-            if G1.order // N1.order != G2.order // N2.order:
+        m = G1.order // N1.order
+        for N2, m2 in zip(n2s, m2s):
+            if m != m2:
                 continue
             q1 = quotient(G1, N1, quotient_cap)
             q2 = quotient(G2, N2, quotient_cap)

@@ -9,9 +9,11 @@ sizes, and a quotient model's coset as rows), the lex-least coset key
 and the quotient model enumerated with it, the class-sum count of
 non-derangements that the scan must match, the reference versions of
 the class table, the chain-grown Sylow subgroup and the plain reading
-of its certificate facts, the stabilizer chain, the normal closure, a
-quotient model's greedy generating points, the
-normal-subgroup lattice, the subgroup-lattice scan, the quotient
+of its certificate facts, the stabilizer chain, the normal closure
+grown by Schreier-Sims (batched, and one element at a time), a quotient
+model's greedy generating points, the normal-subgroup lattice (the plain
+round loop, and the class-mask lattice with a Schreier-Sims chain per
+member), the subgroup-lattice scan, the quotient
 isomorphism search and its dedup pass that the library's
 faster ones must match output for output, the normal-subgroup orders
 found by a sympy scan of class unions, a subdirect product grown by
@@ -46,8 +48,9 @@ from derange.perm import (
 from derange.structure import (
     ConjugacyClass,
     ConjugacyClassTable,
+    _bits,
+    class_products,
     conjugacy_classes,
-    normal_closure,
     p_element_rows,
     p_part,
 )
@@ -329,8 +332,36 @@ class ReferenceBSGS:
         return [rows_of([tr[p] for p in sorted(tr)], self.degree) for tr in self.transversals]
 
 
+def seeded_normal_closure(group, seeds) -> PermutationGroup:
+    """Smallest normal subgroup of group containing the seed elements,
+    grown by Schreier-Sims on the batched chain.
+
+    The queue is a stack of rows.  One batched membership test finds the
+    topmost row outside the closure so far; the members above it are
+    discarded, since a member stays one as the closure grows, and that
+    row is adjoined and its conjugates by the generators pushed.  The
+    extensions are those of popping and adjoining one row at a time
+    (``reference_normal_closure``).
+    """
+    b = BSGS(group.degree)
+    pairs = [(g, g.inverse()) for g in group.generators]
+    queue = rows_of(list(seeds), group.degree)
+    while len(queue):
+        outside = np.flatnonzero(~b.contains_rows(queue))
+        if not outside.size:
+            break
+        top = outside[-1]
+        h = queue[top]
+        b.extend(Perm(h, validate=False))
+        queue = np.concatenate(
+            [queue[:top]] + [conjugate_rows(h[None, :], g, g_inv) for g, g_inv in pairs]
+        )
+    return PermutationGroup.from_chain(b)
+
+
 def reference_normal_closure(group, seeds) -> ReferenceBSGS:
-    """The chain of ``normal_closure`` grown one popped element at a time."""
+    """The chain of ``seeded_normal_closure`` grown one popped element at
+    a time."""
     b = ReferenceBSGS(group.degree)
     queue = list(seeds)
     while queue:
@@ -542,6 +573,63 @@ def class_union_normal_subgroups(group) -> list[int]:
     return sorted(found)
 
 
+def chain_normal_subgroups(group, class_cap=10**6) -> list[PermutationGroup]:
+    """The class-mask lattice with a Schreier-Sims chain per member: the
+    atoms and semi-naive join rounds of ``normal_subgroups`` on masks,
+    each new mask's group grown by ``seeded_normal_closure`` (an atom's
+    from its class representative, a join's from both sides'
+    generators), sorted by order and then by generator list.  A member
+    whose order is not the size of its classes raises ValueError."""
+    table = conjugacy_classes(group, cap=class_cap)
+    sizes = [c.size for c in table]
+    supp = class_products(table)
+    one = 1 << int(table.class_of[0])
+
+    def close(mask: int) -> int:
+        grew = True
+        while grew:
+            grew = False
+            for i in _bits(mask):
+                for j in _bits(mask):
+                    if supp[i][j] & ~mask:
+                        mask |= supp[i][j]
+                        grew = True
+        return mask
+
+    members = {one: PermutationGroup(group.degree, [], name="1")}
+    lattice: dict[int, list[int]] = {1: [one]}
+
+    def add(mask: int, seeds) -> bool:
+        if mask in members:
+            return False
+        h = seeded_normal_closure(group, seeds)
+        size = sum(sizes[c] for c in _bits(mask))
+        if h.order != size:
+            raise ValueError(f"normal closure of order {h.order} on classes of total size {size}")
+        members[mask] = h
+        lattice.setdefault(size, []).append(mask)
+        return True
+
+    for i, cls in enumerate(table):
+        if 1 << i != one:
+            add(close(one | 1 << i), [cls.rep])
+    out = [m for bucket in lattice.values() for m in bucket]
+    fresh = set(out)
+    while fresh:
+        added = set()
+        for i, a in enumerate(out):
+            for b in out[i + 1:]:
+                if (a in fresh or b in fresh) and a | b not in (a, b):
+                    join = close(a | b)
+                    if add(join, members[a].generators + members[b].generators):
+                        added.add(join)
+        fresh = added
+        out = [m for bucket in lattice.values() for m in bucket]
+    groups = [members[m] for m in out]
+    groups.sort(key=lambda h: (h.order, [g.key for g in h.generators]))
+    return groups
+
+
 def reference_normal_subgroups(group, class_cap=10**6):
     """``normal_subgroups`` with the plain round loop: every round joins
     every pair of known normal subgroups, until a round adds none."""
@@ -550,7 +638,7 @@ def reference_normal_subgroups(group, class_cap=10**6):
     for cls in table:
         if cls.rep.is_identity():
             continue
-        atoms.append(normal_closure(group, [cls.rep]))
+        atoms.append(seeded_normal_closure(group, [cls.rep]))
     lattice = {}
 
     def add(h):
@@ -571,7 +659,7 @@ def reference_normal_subgroups(group, class_cap=10**6):
         flat = [h for bucket in lattice.values() for h in bucket]
         for i in range(len(flat)):
             for j in range(i + 1, len(flat)):
-                join = normal_closure(group, flat[i].generators + flat[j].generators)
+                join = seeded_normal_closure(group, flat[i].generators + flat[j].generators)
                 if add(join):
                     grew = True
     out = [h for bucket in lattice.values() for h in bucket]

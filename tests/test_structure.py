@@ -19,6 +19,7 @@ from derange.structure import (
     sylow_subgroup,
 )
 from oracles import (
+    chain_normal_subgroups,
     class_sizes,
     class_union_normal_subgroups,
     closure_rows,
@@ -136,19 +137,37 @@ def test_class_rows_are_whole_class():
     assert {r.tobytes() for r in table.rows[table.class_of == c]} == brute_class(g, rep)
 
 
+def class_of_perm(table, g):
+    return int(table.class_of[np.searchsorted(lex_keys(table.rows), lex_keys(g.images[None, :]))[0]])
+
+
 def test_normal_closure_examples():
     s4 = stock("S4")
-    # closure of a double transposition is the Klein four-group
-    v4 = normal_closure(s4, [Perm.from_cycles(4, (0, 1), (2, 3))])
+    table = conjugacy_classes(s4)
+    ident, dbl, three, trans = (
+        1 << class_of_perm(table, Perm.from_cycles(4, *cycles))
+        for cycles in ([], [(0, 1), (2, 3)], [(0, 1, 2)], [(0, 1)])
+    )
+    # the double transpositions and the identity are the Klein four-group
+    v4 = normal_closure(table, ident | dbl)
     assert v4.order == 4
-    # closure of a 3-cycle is A4
-    a4 = normal_closure(s4, [Perm.from_cycles(4, (0, 1, 2))])
+    # with the 3-cycles they are A4
+    a4 = normal_closure(table, ident | dbl | three)
     assert a4.order == 12
-    # closure of a transposition is everything
-    assert normal_closure(s4, [Perm.from_cycles(4, (0, 1))]).order == 24
+    assert normal_closure(table, (1 << len(table)) - 1).order == 24
+    # the listing is the member's elements, lex-sorted, and its chain
+    # and generators agree with it
+    a4_rows = closure_rows(4, rows_of(stock("A4").generators, 4))
+    assert [r.tobytes() for r in a4.element_rows()] == [r.tobytes() for r in a4_rows]
+    assert a4.bsgs.order == 12
+    assert sorted(r.tobytes() for r in closure_rows(4, rows_of(a4.generators, 4))) == _element_set(a4)
     # closure is invariant under conjugation by each generator
     for gen in s4.generators:
         assert all(conjugate(h, gen) in v4 for h in elements(v4))
+    # ten elements are no subgroup: a transposition times a double
+    # transposition is a 4-cycle
+    with pytest.raises(GroupError, match="not closed under products"):
+        normal_closure(table, ident | dbl | trans)
 
 
 def brute_normal_subgroups(group):
@@ -192,8 +211,15 @@ def test_normal_subgroups_match_brute_force(name):
     assert got == want, name
 
 
-def lattice_keys(groups):
-    return [(h.order, [x.key for x in h.generators]) for h in groups]
+def element_sets(groups):
+    return [_element_set(h) for h in groups]
+
+
+def in_lattice_order(group, members):
+    """The members sorted as normal_subgroups sorts them: by order, then
+    by class mask."""
+    table = conjugacy_classes(group)
+    return sorted(members, key=lambda h: (h.order, class_mask(table, h)))
 
 
 def corpus_of(degree):
@@ -219,11 +245,34 @@ REFERENCE_ORDER_SCOPE = {8: 24, 10: 1000}
 
 @pytest.mark.parametrize("degree", [4, 6, 8, 9, 10])
 def test_normal_subgroups_match_reference_round_loop(degree):
-    # the class-mask lattice keeps exactly the plain loop's generator lists
+    # the class-mask lattice finds the plain loop's subgroups, element
+    # set for element set, in order and class-mask order
     groups = imprimitive_groups(degree, REFERENCE_ORDER_SCOPE.get(degree))
     assert groups
     for g in groups:
-        assert lattice_keys(normal_subgroups(g)) == lattice_keys(reference_normal_subgroups(g)), g.name
+        want = in_lattice_order(g, reference_normal_subgroups(g))
+        assert element_sets(normal_subgroups(g)) == element_sets(want), g.name
+
+
+# every corpus group of degrees 2-10 but A10 and S10, whose orders are
+# over the class cap: the builtin listings at degrees 2-7 and the shipped
+# fixtures at 8-10
+CORPUS_LATTICE_GROUPS = 163
+
+
+def test_normal_subgroups_match_chain_lattice_on_corpus():
+    # the same members as one Schreier-Sims normal closure per new mask
+    checked = 0
+    for degree in range(2, 11):
+        for e in corpus_of(degree).entries:
+            if e.group.order > 10**6:
+                continue
+            got = normal_subgroups(e.group)
+            assert [h.order for h in got] == sorted(h.order for h in got)
+            want = in_lattice_order(e.group, chain_normal_subgroups(e.group))
+            assert element_sets(got) == element_sets(want), e.name
+            checked += 1
+    assert checked == CORPUS_LATTICE_GROUPS
 
 
 def test_normal_subgroups_over_several_join_rounds():
@@ -232,20 +281,20 @@ def test_normal_subgroups_over_several_join_rounds():
     g = PermutationGroup.from_cycles(8, [[(0, 1)], [(2, 3)], [(4, 5)], [(6, 7)]])
     norms = normal_subgroups(g)
     assert [sum(h.order == 2**k for h in norms) for k in range(5)] == [1, 15, 35, 15, 1]
-    assert lattice_keys(norms) == lattice_keys(reference_normal_subgroups(g))
+    assert element_sets(norms) == element_sets(in_lattice_order(g, reference_normal_subgroups(g)))
 
 
 def test_normal_closure_runs_once_per_new_member(monkeypatch):
     # verify_degree(9) asks for the lattices of 11 fixture groups; each
-    # member but the trivial group gets exactly one chain, however many
-    # atoms and joins land on it
+    # member, the trivial group too, is built once off its own mask,
+    # however many atoms and joins land on it
     calls = []
     lattices = []
     closure, lattice = structure.normal_closure, pipeline.normal_subgroups
 
-    def counted_closure(group, seeds):
-        calls.append(group)
-        return closure(group, seeds)
+    def counted_closure(table, mask):
+        calls.append((table.group.name, mask))
+        return closure(table, mask)
 
     def recorded_lattice(group, class_cap):
         lattices.append(lattice(group, class_cap=class_cap))
@@ -256,7 +305,7 @@ def test_normal_closure_runs_once_per_new_member(monkeypatch):
     report = pipeline.verify_degree(9, corpus=corpus_of(9))
     assert report.verdict == "verified"
     assert len(lattices) == 11
-    assert len(calls) == sum(len(ns) - 1 for ns in lattices) == 76
+    assert len(calls) == len(set(calls)) == sum(len(ns) for ns in lattices) == 87
 
 
 def class_mask(table, h):
@@ -315,13 +364,27 @@ def test_normal_subgroup_orders_match_class_union_scan():
 
 
 def test_member_order_off_its_classes_raises(monkeypatch):
-    # a chain that misses its seeds cannot fill the classes of its mask
-    def trivial_closure(group, seeds):
-        return PermutationGroup(group.degree, [])
+    # a product table that adds the transpositions to the square of the
+    # double transpositions in S4 (and keeps the products of those two
+    # classes inside them and the identity) closes the double
+    # transpositions to a union of ten elements, which the member's
+    # check rejects; a table that only adds classes cannot do this, as a
+    # union closed under it is closed under the true products
+    table = conjugacy_classes(stock("S4"))
+    ident, dbl, trans = (class_of_perm(table, Perm.from_cycles(4, *c)) for c in ([], [(0, 1), (2, 3)], [(0, 1)]))
+    ten = 1 << ident | 1 << dbl | 1 << trans
+    real = structure.class_products
 
-    monkeypatch.setattr(structure, "normal_closure", trivial_closure)
-    with pytest.raises(GroupError, match="order 1 on classes of total size 3"):
-        normal_subgroups(stock("S3"))
+    def added_class(table):
+        supp = real(table)
+        for i in (dbl, trans):
+            for j in (dbl, trans):
+                supp[i][j] = ten
+        return supp
+
+    monkeypatch.setattr(structure, "class_products", added_class)
+    with pytest.raises(GroupError, match=f"mask {ten:#x} are not closed under products"):
+        normal_subgroups(stock("S4"))
 
 
 def test_normal_subgroup_counts():
@@ -415,11 +478,39 @@ def test_listing_chain_of_any_group(name):
     # one product of the transversals read off
     g = stock(name)
     listing = lex_sorted(g.element_rows())
-    chain = structure._listing_chain(listing)
+    chain = BSGS.from_listing(listing)
     assert chain.order == g.order
+    # every Schreier generator sifts to the identity: a complete chain
+    assert all(chain._verify_level(i) is None for i in range(len(chain.base)))
     assert chain.contains_rows(listing).all()
     got = PermutationGroup.from_chain(chain).element_rows()
     assert sorted(r.tobytes() for r in got) == [r.tobytes() for r in listing]
+
+
+@pytest.mark.parametrize("group,p", [(stock("S4"), 2), (PermutationGroup.symmetric(8), 3)])
+def test_sylow_subgroup_holds_its_listing(group, p):
+    # order and elements come from the listing; the chain is read off it
+    # only when asked for
+    P = sylow_subgroup(group, p)
+    assert P.order == p_part(group.order, p) and P._bsgs is None
+    rows = P.element_rows()
+    assert P._bsgs is None
+    assert [r.tobytes() for r in rows] == sorted(r.tobytes() for r in rows)
+    assert P.bsgs.order == P.order
+
+
+def test_lattice_members_hold_their_listings():
+    g = stock("S3xS3")
+    table = conjugacy_classes(g)
+    norms = normal_subgroups(g)
+    assert all(h._bsgs is None for h in norms)
+    # each member's listing is the table's rows of its classes, and its
+    # generators are its chain's strong generators
+    for h in norms:
+        mask = class_mask(table, h)
+        inside = np.array([mask >> c & 1 for c in range(len(table))], dtype=bool)
+        assert np.array_equal(h.element_rows(), table.rows[inside[table.class_of]])
+        assert h.generators == h.bsgs.strong_gens
 
 
 def test_p_elements_of_a_group_over_the_cap_raise(monkeypatch):

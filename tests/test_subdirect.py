@@ -206,6 +206,27 @@ class TestQuotient:
         with pytest.raises(GroupError):
             quotient(A4, PermutationGroup.from_cycles(4, [[(0, 1)]]))
 
+    def test_kernel_of_another_degree_rejected(self):
+        with pytest.raises(GroupError, match="kernel degree differs from parent degree"):
+            quotient(S4, PermutationGroup(3, A3.generators))
+
+    def test_keys_splitting_a_coset_overrun_the_coset_count(self, monkeypatch):
+        # a key per element lists all 24 elements of S4 as cosets of V4
+        monkeypatch.setattr(BSGS, "coset_keys", lambda self, rows: rows)
+        with pytest.raises(GroupError, match="coset enumeration exceeded the expected count"):
+            quotient(S4, PermutationGroup(4, V4.generators))
+
+    def test_keys_merging_cosets_fall_short_of_the_coset_count(self, monkeypatch):
+        # one key for every element lists one coset of V4 in S4, not six
+        monkeypatch.setattr(BSGS, "coset_keys", lambda self, rows: np.zeros_like(rows))
+        with pytest.raises(GroupError, match="found 1 cosets, expected 6"):
+            quotient(S4, PermutationGroup(4, V4.generators))
+
+    def test_model_order_off_the_coset_count_rejected(self, monkeypatch):
+        monkeypatch.setattr(subdirect.QuotientModel, "order", property(lambda self: len(self.reps) + 1))
+        with pytest.raises(GroupError, match="quotient order times kernel order is not the parent order"):
+            quotient(S4, PermutationGroup(4, V4.generators))
+
     def test_cap_enforced(self):
         with pytest.raises(ResourceCapExceeded):
             quotient(S4, trivial(4), cap=23)
