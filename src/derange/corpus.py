@@ -63,8 +63,9 @@ def enumerate_transitive(n: int) -> GroupCorpus:
 
     Runs the breadth-first subgroup-lattice scan of the full symmetric
     group and keeps the transitive classes, so the output is complete by
-    construction.  Entries are named T<n>.<i> in (order, lattice) order
-    and carry primitivity plus exact non-derangement proportion.
+    construction.  Entries are named T<n>.<i> in (order, lattice) order,
+    hold their elements as read off the scan's element table, and carry
+    primitivity plus exact non-derangement proportion.
     """
     if n < 2:
         raise GroupError("transitive enumeration needs degree at least 2")
@@ -79,11 +80,11 @@ def enumerate_transitive(n: int) -> GroupCorpus:
     i = 0
     for cls in subgroup_classes(sym, table):
         gens = [table.perm(k) for k in cls.gen_indices]
-        group = PermutationGroup(n, gens)
-        if not group.is_transitive():
+        if not PermutationGroup(n, gens).is_transitive():
             continue
         i += 1
-        group = PermutationGroup(n, gens, name=f"T{n}.{i}")
+        # the table's rows at the class's sorted indices are lex-sorted
+        group = PermutationGroup.from_listing(table.rows[cls.indices], gens, name=f"T{n}.{i}")
         entries.append(
             CorpusEntry(
                 name=f"T{n}.{i}",

@@ -14,13 +14,12 @@ image and then that inverse representative; only the one Schreier
 generator that fails is sifted again to find the level where it got
 stuck.  The chain also keys cosets: ``BSGS.coset_keys`` maps each row
 to the element of its coset whose base images are least, level by
-level.  A group whose base and strong generators are known by
-construction (a subdirect product, from its factors' chains) gets its
-chain built from them, with no search: ``BSGS.from_strong_generators``.
-A group given by all its elements (a normal subgroup off a class table,
-a Sylow subgroup) holds them as a lex-sorted listing, which gives its
-order and elements; its chain is read off the listing, again with no
-search, only when asked for (``BSGS.from_listing``).
+level.  A group given by all its elements (a normal subgroup off a
+class table, a Sylow subgroup, a subdirect product listed from matched
+cosets, a builtin corpus entry off the subgroup scan's table) holds them
+as a lex-sorted listing, which gives its order and elements; its chain
+is read off the listing, with no search, only when asked for
+(``BSGS.from_listing``).
 """
 
 from __future__ import annotations
@@ -74,24 +73,6 @@ class BSGS:
         self.order = 1
         for g in generators:
             self.extend(g)
-
-    @classmethod
-    def from_strong_generators(cls, degree: int, base, strong_gens) -> "BSGS":
-        """The chain of a known base and strong generating set, with no
-        sifting: the caller vouches that, for each i, the strong
-        generators fixing base[:i] generate that point stabilizer.  Each
-        level's transversal is built by the same orbit walk as in
-        Schreier-Sims, and the order is the product of the orbit lengths.
-        """
-        chain = cls(degree)
-        chain.base = [int(b) for b in base]
-        chain.strong_gens = list(strong_gens)
-        chain._gen_rows = rows_of(chain.strong_gens, degree)
-        chain._levels = [None] * len(chain.base)
-        for i in range(len(chain.base)):
-            chain._rebuild(i)
-        chain._set_order()
-        return chain
 
     @classmethod
     def from_listing(cls, listing: np.ndarray) -> "BSGS":
@@ -352,13 +333,6 @@ class PermutationGroup:
         return f"PermutationGroup<{label}>"
 
     # --- stabilizer chain ------------------------------------------------
-
-    @staticmethod
-    def from_chain(chain: BSGS, name: str | None = None) -> "PermutationGroup":
-        """The group of a built chain, generated by its strong generators."""
-        group = PermutationGroup(chain.degree, chain.strong_gens, name=name)
-        group._bsgs = chain
-        return group
 
     @staticmethod
     def from_listing(listing: np.ndarray, generators=None, name: str | None = None) -> "PermutationGroup":

@@ -274,6 +274,26 @@ def p_element_rows(group: PermutationGroup, p: int) -> np.ndarray:
     return rows[np.argsort(-np.concatenate(exps), kind="stable")]
 
 
+def _first_normalizing(keys: np.ndarray, gens: np.ndarray, pool: np.ndarray) -> np.ndarray | None:
+    """The first pool row that conjugates every generator row into the
+    lex-sorted rows with these lex keys, or None.  With no generators
+    that is the first row, untested: every row normalizes the trivial
+    group.  The candidates are tested in blocks, one membership search
+    per block."""
+    if not len(gens):
+        return pool[0] if len(pool) else None
+    n = pool.shape[1]
+    for lo in range(0, len(pool), _NORMALIZER_BLOCK):
+        cands = pool[lo:lo + _NORMALIZER_BLOCK]
+        # conj[c, k] = cands[c]^-1 * gens[k] * cands[c]
+        conj = cands[np.arange(len(cands))[:, None, None],
+                     gens[np.arange(len(gens))[None, :, None], invert_rows(cands)[:, None, :]]]
+        hits = _in_listing(keys, conj.reshape(-1, n)).reshape(len(cands), len(gens)).all(axis=1)
+        if hits.any():
+            return cands[np.argmax(hits)]
+    return None
+
+
 def _in_listing(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """mask[i] = row i is one of the lex-sorted rows with these lex keys."""
     probe = lex_keys(rows)
@@ -290,9 +310,9 @@ def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
     search of its lex keys.  Each round drops the pool rows already in P
     (the pool only shrinks, as P only grows) and adjoins the first
     remaining row that conjugates the generators adjoined so far into P;
-    those generate P, so it normalizes P.  The candidates are tested in
-    blocks, one membership search per block.  P<g> is the union of the
-    disjoint cosets P g^j for j below the least i >= 1 with g^i in P.
+    those generate P, so it normalizes P (in the first round, with none
+    adjoined, the first row).  P<g> is the union of the disjoint cosets
+    P g^j for j below the least i >= 1 with g^i in P.
 
     The result is generated by the adjoined rows and holds its listing.
     """
@@ -308,16 +328,7 @@ def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
     pool = p_element_rows(group, p) if target > 1 else gens
     while len(listing) < target:
         pool = pool[~_in_listing(keys, pool)]
-        g = None
-        for lo in range(0, len(pool), _NORMALIZER_BLOCK):
-            cands = pool[lo:lo + _NORMALIZER_BLOCK]
-            # conj[c, k] = cands[c]^-1 * gens[k] * cands[c]
-            conj = cands[np.arange(len(cands))[:, None, None],
-                         gens[np.arange(len(gens))[None, :, None], invert_rows(cands)[:, None, :]]]
-            hits = _in_listing(keys, conj.reshape(-1, n)).reshape(len(cands), len(gens)).all(axis=1)
-            if hits.any():
-                g = cands[np.argmax(hits)]
-                break
+        g = _first_normalizing(keys, gens, pool)
         if g is None:
             break
         powers = [g]  # g^1, g^2, ... up to the identity

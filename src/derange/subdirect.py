@@ -7,7 +7,9 @@ G1/N1 -> G2/N2; the subgroup is {(g1, g2) : phi(g1 N1) = g2 N2}.
 Quotients are modeled by their regular action on cosets.  That action
 can live on up to QUOTIENT_CAP points, beyond the supported permutation
 degree, so it is kept as a plain index table: element <-> the point its
-coset occupies, product of x and y = table[y, x].
+coset occupies, product of x and y = table[y, x].  A product is listed
+from the models, coset by coset: G1's coset at each point p paired with
+G2's coset at phi(p), with no stabilizer chain.
 """
 
 from dataclasses import dataclass, field
@@ -16,13 +18,14 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import row_orders
-from .group import BSGS, GroupError, PermutationGroup, ResourceCapExceeded
+from .group import ENUM_CAP, GroupError, PermutationGroup, ResourceCapExceeded
 from .perm import (
     MAX_DEGREE,
     Perm,
     conjugate_rows,
     fixes_any,
     lex_order,
+    lex_sorted,
     rows_of,
 )
 from .structure import normal_subgroups
@@ -151,12 +154,11 @@ class QuotientModel:
             trees.append((tree, edges))
         return trees
 
-    def point_of(self, g: Perm) -> int:
-        """The point of the coset holding the parent-group element g."""
-        p = self.enc.get(self.kernel.bsgs.coset_keys(g.images[None, :]).tobytes())
-        if p is None:
-            raise GroupError("element lies in no coset of the quotient model")
-        return p
+    def coset_rows(self, points) -> np.ndarray:
+        """The parent-group elements of the cosets at the points, as
+        rows: out[i, j] is kernel element j, then the representative of
+        the coset at points[i]."""
+        return rows_of([self.reps[p] for p in points], self.parent.degree)[:, self.kernel_rows]
 
     @cached_property
     def derangement_witnesses(self) -> tuple[np.ndarray, np.ndarray]:
@@ -172,13 +174,12 @@ class QuotientModel:
         """
         n, k = self.parent.degree, len(self.kernel_rows)
         pts = np.arange(n, dtype=np.uint8)
-        reps = rows_of(self.reps, n)
         bitmap = np.zeros(self.order, dtype=bool)
         rows = np.empty((self.order, n), dtype=np.uint8)
         rows[:] = pts
         step = max(1, _WITNESS_BLOCK // k)
         for lo in range(0, self.order, step):
-            block = reps[lo:lo + step][:, self.kernel_rows].reshape(-1, n)
+            block = self.coset_rows(range(lo, min(lo + step, self.order))).reshape(-1, n)
             der = np.flatnonzero(~fixes_any(block, pts))
             ranked = der[lex_order(block[der])]
             rank = np.full(len(block), len(der))
@@ -427,25 +428,19 @@ def goursat_enumerate(
     return out
 
 
-def _combine(g1: Perm, g2: Perm) -> Perm:
-    return Perm(np.concatenate([g1.images, g2.images + g1.degree]), validate=False)
-
-
 def materialize_group(desc: SubdirectDescriptor) -> PermutationGroup:
     """The subdirect product H as a permutation group on the disjoint
-    union of the two parent domains (second domain shifted).
+    union of the two parent domains (second domain shifted), held as its
+    lex-sorted listing, with no stabilizer chain.
 
-    Its stabilizer chain is built from the factors' chains, with no
-    search.  The stabilizer in H of G1's first i base points is
-    generated by the lifts (s, t) of the strong generators s of G1 that
-    fix those points, t a representative of the partner of s's coset,
-    together with 1 x N2.  So the base is G1's followed by N2's, each
-    level's orbit is G1's orbit at that level or N2's, and the order is
-    |G1| * |N2|.  That needs the point map to be an isomorphism of the
-    quotients, which is checked first: a bijection that respects every
-    Cayley-graph edge x -> x*g of q1's generating points g is one.
-    H projects onto both factors, so its orbits are G1's followed by
-    G2's shifted, and it is given them.
+    H is listed coset by coset: for each q1 point p, every element of
+    G1's coset p paired with every element of G2's coset point_map[p].
+    Those pairs form a group of order |G1| * |N2| when the point map is
+    an isomorphism of the quotients, which is checked first: a bijection
+    that respects every Cayley-graph edge x -> x*g of q1's generating
+    points g is one.  An order over ENUM_CAP raises ResourceCapExceeded
+    before anything is listed.  H projects onto both factors, so its
+    orbits are G1's followed by G2's shifted, and it is given them.
     """
     q1, q2 = desc.q1, desc.q2
     pm = np.asarray(desc.point_map)
@@ -458,15 +453,23 @@ def materialize_group(desc: SubdirectDescriptor) -> PermutationGroup:
         and (q2.table[pm[gens]][:, pm] == pm[q1.table[gens]]).all()
     ):
         raise GroupError("the point map is not an isomorphism of the quotients")
-    c1, c2 = q1.parent.bsgs, q2.kernel.bsgs
+    if desc.subgroup_order > ENUM_CAP:
+        raise ResourceCapExceeded(
+            f"subdirect product order {desc.subgroup_order} over enumeration cap {ENUM_CAP}"
+        )
     n1 = q1.parent.degree
-    id1 = Perm.identity(n1)
-    strong = [_combine(s, q2.reps[pm[q1.point_of(s)]]) for s in c1.strong_gens]
-    strong += [_combine(id1, t) for t in c2.strong_gens]
-    base = c1.base + [b + n1 for b in c2.base]
-    group = PermutationGroup.from_chain(
-        BSGS.from_strong_generators(n1 + q2.parent.degree, base, strong)
-    )
+    left = q1.coset_rows(range(m))
+    right = q2.coset_rows(pm) + n1
+    # pairs[p, i, j] = (left[p, i], right[p, j])
+    pairs = np.empty((m, left.shape[1], right.shape[1], n1 + q2.parent.degree), dtype=np.uint8)
+    pairs[..., :n1] = left[:, :, None]
+    pairs[..., n1:] = right[:, None]
+    listing = pairs.reshape(-1, pairs.shape[-1])
+    if len(listing) != desc.subgroup_order:
+        raise GroupError(
+            f"listed {len(listing)} pairs, not |G1| * |N2| = {desc.subgroup_order}"
+        )
+    group = PermutationGroup.from_listing(lex_sorted(listing))
     group._orbits = q1.parent.orbits() + [o + n1 for o in q2.parent.orbits()]
     return group
 

@@ -3,9 +3,10 @@
 Everything here trades speed for obvious correctness: no conjugacy
 shortcuts, no lattice pruning, just exhaustive closure growth.  Also the
 one-element helpers the tests share (a group's elements as ``Perm``s,
-conjugation, the derangement test, equality of two subgroups, the direct
-product of two groups, a block system's blocks and a class table's
-sizes, and a quotient model's coset as rows), the lex-least coset key
+the group holding a built chain, conjugation, the derangement test,
+equality of two subgroups, the direct product of two groups, a block
+system's blocks and a class table's sizes, and a quotient model's coset
+as rows), the lex-least coset key
 and the quotient model enumerated with it, the class-sum count of
 non-derangements that the scan must match, the reference versions of
 the class table, the chain-grown Sylow subgroup and the plain reading
@@ -17,8 +18,8 @@ member), the subgroup-lattice scan, the quotient
 isomorphism search and its dedup pass that the library's
 faster ones must match output for output, the normal-subgroup orders
 found by a sympy scan of class unions, a subdirect product grown by
-Schreier-Sims from its generators (the group the chain built from the
-factors must equal), the scan of all q^d vectors behind the two
+Schreier-Sims from its generators (the group listed from matched
+cosets must equal), the scan of all q^d vectors behind the two
 hyperplane-cover flags, the minimum-cover search that checks every
 smaller subset first, GF(q) tables built one pair at a time and the
 dot product folded one coordinate at a time, and the one recipe for
@@ -61,6 +62,15 @@ from derange.subgroups import SubgroupClass, table_closure
 def elements(group) -> list[Perm]:
     """Every element of the group as a Perm, in enumeration order."""
     return [Perm(row, validate=False) for row in group.element_rows()]
+
+
+def chain_group(chain, name=None) -> PermutationGroup:
+    """The group generated by a built chain's strong generators, holding
+    that chain, so its order, membership and element order are the
+    chain's."""
+    group = PermutationGroup(chain.degree, chain.strong_gens, name=name)
+    group._bsgs = chain
+    return group
 
 
 def conjugate(h: Perm, g: Perm) -> Perm:
@@ -151,7 +161,7 @@ def reference_sylow_subgroup(group, p: int) -> PermutationGroup:
         if g is None:
             raise ValueError(f"grew a {p}-subgroup of order {b.order}, not the p-part {target}")
         b.extend(Perm(g, validate=False))
-    return PermutationGroup.from_chain(b, name=f"Sylow_{p}")
+    return chain_group(b, name=f"Sylow_{p}")
 
 
 def reference_sylow_facts(action, p: int, P) -> tuple:
@@ -356,7 +366,7 @@ def seeded_normal_closure(group, seeds) -> PermutationGroup:
         queue = np.concatenate(
             [queue[:top]] + [conjugate_rows(h[None, :], g, g_inv) for g, g_inv in pairs]
         )
-    return PermutationGroup.from_chain(b)
+    return chain_group(b)
 
 
 def reference_normal_closure(group, seeds) -> ReferenceBSGS:

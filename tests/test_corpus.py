@@ -54,6 +54,18 @@ class TestEnumerateTransitive:
             assert e.primitive is not None
             assert e.pndr is not None
 
+    @pytest.mark.parametrize("n", sorted(TRANSITIVE_COUNTS))
+    def test_listing_matches_schreier_sims_rebuild(self, n):
+        # each entry holds its elements as read off the scan's table:
+        # the order and element set of the group its generators span
+        for e in corpus_for(n).entries:
+            rows = e.group.element_rows()
+            rebuilt = PermutationGroup(n, e.group.generators)
+            assert e.group.order == len(rows) == rebuilt.order, e.name
+            assert [r.tobytes() for r in rows] == sorted(
+                r.tobytes() for r in rebuilt.element_rows()
+            ), e.name
+
     def test_raw_scan_agreement_small_degrees(self):
         # completeness without the lattice machinery: adjoin-one-element
         # closure growth over the whole symmetric group

@@ -160,6 +160,12 @@ def test_orbits_and_transitivity():
         assert stock(name).is_transitive()
 
 
+def test_orbit_of_a_point_out_of_range_rejected():
+    g = PermutationGroup.from_cycles(7, [[(0, 1, 2)], [(3, 4)], [(5, 6)]])
+    with pytest.raises(GroupError, match="point 7 out of range"):
+        g.orbit(7)
+
+
 def test_induced_action_faithful_on_invariant_set():
     g = PermutationGroup.from_cycles(7, [[(0, 1, 2)], [(3, 4)], [(5, 6)]])
     img, relabel = g.induced_action([3, 4, 5, 6])

@@ -57,6 +57,11 @@ def test_compose_is_left_to_right():
     assert ((f * g) * h).key == (f * (g * h)).key
 
 
+def test_compose_degree_mismatch_rejected():
+    with pytest.raises(PermError, match="degree mismatch"):
+        Perm([1, 2, 0]) * Perm([1, 0, 2, 3])
+
+
 def test_compose_random_against_pointwise():
     rng = np.random.default_rng(0)
     for _ in range(200):

@@ -222,6 +222,17 @@ class TestCounterexampleBranch:
         assert r.exit_code == 3
 
 
+def test_pair_accounting_mismatch_raises(monkeypatch):
+    # a report that loses its checked-pair count leaves the one pair of
+    # the corpus neither pruned nor checked
+    class LossyReport(VerificationReport):
+        pairs_checked = property(lambda self: 0, lambda self, value: None)
+
+    monkeypatch.setattr("derange.pipeline.VerificationReport", LossyReport)
+    with pytest.raises(GroupError, match="pair accounting: 0 pruned . 0 checked != 1 total"):
+        verify_degree(6, corpus=forced_corpus())
+
+
 class TestEmitReport:
     def test_json_is_canonical(self):
         r = verify_degree(4)

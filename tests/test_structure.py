@@ -19,6 +19,7 @@ from derange.structure import (
     sylow_subgroup,
 )
 from oracles import (
+    chain_group,
     chain_normal_subgroups,
     class_sizes,
     class_union_normal_subgroups,
@@ -483,7 +484,7 @@ def test_listing_chain_of_any_group(name):
     # every Schreier generator sifts to the identity: a complete chain
     assert all(chain._verify_level(i) is None for i in range(len(chain.base)))
     assert chain.contains_rows(listing).all()
-    got = PermutationGroup.from_chain(chain).element_rows()
+    got = chain_group(chain).element_rows()
     assert sorted(r.tobytes() for r in got) == [r.tobytes() for r in listing]
 
 

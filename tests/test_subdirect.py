@@ -6,6 +6,7 @@ with a post-hoc dedup pass, and Goursat output against a complete
 subgroup-lattice enumeration of the direct product.
 """
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -17,9 +18,9 @@ import pytest
 
 from derange import subdirect
 from derange.corpus import enumerate_transitive, load_corpus
-from derange.derangements import TwoOrbitAction
+from derange.derangements import TwoOrbitAction, sylow_certificate
 from derange.group import BSGS, GroupError, PermutationGroup, ResourceCapExceeded
-from derange.perm import Perm, least_derangement
+from derange.perm import Perm, least_derangement, lex_sorted, rows_of
 from derange.pipeline import verify_degree
 from derange.structure import normal_subgroups
 from derange.subdirect import (
@@ -109,7 +110,8 @@ def coset_lookup(model):
 def test_chain_coset_keys_match_lex_least_keys(n):
     # every (G, N) of the corpus within QUOTIENT_CAP: the model keyed by
     # N's chain has the reps and table of the one keyed by each coset's
-    # lex-least element, and point_of agrees with the lex-least key
+    # lex-least element, its chain key of an element names the point the
+    # lex-least key does, and its coset rows are the coset's elements
     corpus = enumerate_transitive(n) if n <= 7 else load_corpus(FIXTURES / f"degree{n:02d}", n)
     rng = np.random.default_rng(n)
     models = 0
@@ -125,17 +127,19 @@ def test_chain_coset_keys_match_lex_least_keys(n):
             reps, table, enc = reference_quotient(G, N)
             assert [r.key for r in q.reps] == [r.key for r in reps], (e.name, N.order)
             assert np.array_equal(q.table, table), (e.name, N.order)
-            assert [q.point_of(r) for r in reps] == list(range(q.order))
+            keys = q.kernel.bsgs.coset_keys(rows_of(reps, n))
+            assert [q.enc[k.tobytes()] for k in keys] == list(range(q.order))
             for p in sorted({0, 1 % q.order, q.order - 1}):
                 rows = coset_rows(q, p)
+                assert np.array_equal(q.coset_rows([p])[0], rows)
                 keys = q.kernel.bsgs.coset_keys(rows)
                 assert (keys == keys[0]).all() and q.enc[keys[0].tobytes()] == p
                 for row in rows[rng.choice(len(rows), min(len(rows), 8), replace=False)]:
                     g = Perm(row, validate=False)
-                    assert q.point_of(g) == enc[lex_coset_key(q.kernel_rows, g)] == p
+                    assert enc[lex_coset_key(q.kernel_rows, g)] == p
             if outside is not None:
-                with pytest.raises(GroupError, match="no coset"):
-                    q.point_of(outside)
+                # its coset holds no element of G, so no key of the model
+                assert q.kernel.bsgs.coset_keys(outside.images[None, :]).tobytes() not in q.enc
             models += 1
     assert models >= len(corpus)
 
@@ -261,6 +265,14 @@ class TestQuotient:
         assert verify_degree(9, corpus=load_corpus(FIXTURES / "degree09", 9)).verdict == "verified"
         assert len(built) == 63
         assert len({(id(G), tuple(g.key for g in N.generators)) for G, N in built}) == 63
+
+    def test_generating_points_short_of_the_quotient_rejected(self, monkeypatch):
+        # closures that each lose their last point never reach all of S3
+        q = quotient(PermutationGroup(3, S3.generators), trivial(3))
+        real = subdirect.table_closure
+        monkeypatch.setattr(subdirect, "table_closure", lambda mult, gens: real(mult, gens)[:-1])
+        with pytest.raises(GroupError, match="generating points reach 5 of 6 quotient points"):
+            q.generating_points
 
     def test_generating_points_generate(self):
         for G, N in [(S4, V4), (S4, trivial(4)), (A4, V4), (C4, trivial(4))]:
@@ -668,11 +680,29 @@ class TestMaterialize:
         reference_materialize(descs[-1])
         assert calls  # the counter sees a Schreier-Sims run
 
-    def test_coset_point_of_a_non_member_rejected(self):
-        q = quotient(A4, V4)
-        assert [q.point_of(r) for r in q.reps] == list(range(q.order))
-        with pytest.raises(GroupError, match="no coset"):
-            q.point_of(cyc(4, (0, 1)))  # odd, so outside A4
+    def test_order_over_the_enumeration_cap_rejected(self, monkeypatch):
+        d = next(d for d in goursat_enumerate(S4, S4) if d.quotient_order == 6)
+        assert d.subgroup_order == 96
+        monkeypatch.setattr(subdirect, "ENUM_CAP", 95)
+        with pytest.raises(ResourceCapExceeded, match="order 96 over enumeration cap 95"):
+            materialize_group(d)
+        monkeypatch.setattr(subdirect, "ENUM_CAP", 96)
+        assert materialize_group(d).order == 96
+
+    def test_listing_short_of_the_product_order_rejected(self):
+        # a model whose kernel listing lost a row lists too few pairs
+        d = next(d for d in goursat_enumerate(S4, S4) if d.quotient_order == 6)
+        short = dataclasses.replace(d.q2, kernel_rows=d.q2.kernel_rows[:-1])
+        with pytest.raises(GroupError, match="listed 72 pairs, not .G1. . .N2. = 96"):
+            materialize_group(SubdirectDescriptor(d.q1, short, d.point_map))
+
+    def test_materialize_and_sylow_certificate_build_no_chain(self):
+        # the sweep's product and its Sylow subgroup are both listings
+        for d in sweep_descriptors(10, 1200):
+            H = materialize_group(d)
+            cert = sylow_certificate(TwoOrbitAction.of(H), 5)
+            assert cert.orbit_lengths == (5, 5, 5, 5)
+            assert H._bsgs is None
 
     def test_materialized_elements_satisfy_matching(self):
         for d in goursat_enumerate(S4, S3):
@@ -685,7 +715,7 @@ class TestMaterialize:
 
 
 class TestChainFromFactors:
-    """The chain materialize_group builds from the factors' chains
+    """The group materialize_group lists from the factors' matched cosets
     against Schreier-Sims on the same product's generators."""
 
     @pytest.mark.parametrize(
@@ -696,13 +726,10 @@ class TestChainFromFactors:
         assert len(descs) == products
         for d in descs:
             H, R = materialize_group(d), reference_materialize(d)
-            c1, c2 = d.q1.parent.bsgs, d.q2.kernel.bsgs
-            n1 = d.q1.parent.degree
-            assert H.order == R.order
-            assert H.is_subgroup_of(R) and R.is_subgroup_of(H)
-            assert H.bsgs.base == c1.base + [b + n1 for b in c2.base]
-            sizes = [len(t) for t in H.bsgs.transversal_rows()]
-            assert sizes == [len(t) for t in c1.transversal_rows() + c2.transversal_rows()]
+            rows = H.element_rows()
+            assert np.array_equal(rows, lex_sorted(rows))  # a lex-sorted listing
+            assert [r.tobytes() for r in rows] == sorted(r.tobytes() for r in R.element_rows())
+            assert H._bsgs is None
 
 
     @pytest.mark.parametrize("degree, scope", [(6, 2000), (10, 1200)])
@@ -808,6 +835,17 @@ class TestSubdirectDerangement:
         w = subdirect_derangement(d)
         assert w is not None
         assert w.images.tolist() == [1, 0, 3, 2]
+
+    def test_marked_coset_whose_witness_fixes_a_point_rejected(self):
+        # mark the kernel's coset, which holds no derangement of C2's two
+        # points, so its tabled witness is the identity
+        C2f = PermutationGroup(2, C2.generators)
+        d = next(d for d in goursat_enumerate(C2f, C2f) if d.quotient_order == 2)
+        for q in (d.q1, d.q2):
+            bitmap, rows = q.derangement_witnesses
+            q.__dict__["derangement_witnesses"] = (np.ones_like(bitmap), rows)
+        with pytest.raises(GroupError, match="coset pair at point 0 is marked but its witness fixes a point"):
+            subdirect_derangement(d)
 
     def test_agrees_with_exhaustive_scan(self):
         for G1, G2 in [(S3, S3), (C4, C4), (S4, S3), (C4, V4), (A4, S3)]:
