@@ -38,7 +38,7 @@ from .derangements import (
     sylow_certificate,
 )
 from .gf import FieldError, FieldSpec
-from .group import BlockSystem, GroupError, PermutationGroup, ResourceCapExceeded
+from .group import GroupError, PermutationGroup, ResourceCapExceeded
 from .perm import MAX_DEGREE, Perm, PermError
 from .pipeline import VerificationReport, VerifyCaps, emit_report, verify_degree
 from .structure import conjugacy_classes, normal_subgroups, sylow_subgroup
@@ -53,7 +53,6 @@ from .subgroups import ElementTable, subgroup_classes
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSystem",
     "CertificateError",
     "CorpusEntry",
     "CoverInstance",

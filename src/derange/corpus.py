@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .derangements import PndrValue, pndr
-from .group import ENUM_CAP, GroupError, PermutationGroup, _join_classes
+from .group import ENUM_CAP, GroupError, PermutationGroup
 from .perm import MAX_DEGREE, Perm
 from .subgroups import ElementTable, subgroup_classes
 
@@ -47,11 +47,7 @@ def _is_imprimitive(group: PermutationGroup) -> bool:
     leaves a point of the orbit outside 0's block; the first such beta
     ends the search."""
     orbit = group.orbit(0)
-    gens = [g.images for g in group.generators]
-    return any(
-        (_join_classes(group.degree, [(0, beta)], gens)[orbit] > 0).any()
-        for beta in orbit[1:].tolist()
-    )
+    return any((labels[orbit] > 0).any() for _, labels in group.block_closures())
 
 
 def _whole_domain(degree: int) -> tuple:

@@ -1,7 +1,7 @@
 """Permutation groups with a deterministic stabilizer-chain backbone.
 
-Orders and memberships come from an explicitly built base and strong
-generating set.  A group given by generators gets its chain by
+A group given by generators has its order and memberships from an
+explicitly built base and strong generating set, its chain, built by
 Schreier-Sims with full Schreier-generator checking, no randomization;
 base points are chosen in increasing point order, so every derived
 quantity (element enumeration order, transversal layout) is
@@ -17,20 +17,22 @@ to the element of its coset whose base images are least, level by
 level.  A group given by all its elements (a normal subgroup off a
 class table, a Sylow subgroup, a subdirect product listed from matched
 cosets, a builtin corpus entry off the subgroup scan's table) holds them
-as a lex-sorted listing, which gives its order and elements; its chain
-is read off the listing, with no search, only when asked for
-(``BSGS.from_listing``).
+as a lex-sorted listing, which gives its order, its elements and
+membership (one search of the listing's lex keys); its chain is read
+off the listing, with no search, only when asked for
+(``BSGS.from_listing``).  Block systems on the first orbit come from one
+routine, the block closure of 0 and each other orbit point
+(``PermutationGroup.block_closures``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from .perm import GroupError, Perm, invert_rows, rows_of
+from .perm import GroupError, Perm, in_listing, invert_rows, rows_of
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -40,6 +42,14 @@ class ResourceCapExceeded(RuntimeError):
 # the most elements (group elements or field vectors) any exhaustive
 # scan lists, unless a caller passes its own cap
 ENUM_CAP = 10**7
+
+
+def _checked_rows(rows, degree: int) -> np.ndarray:
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != degree:
+        # checked before any indexing or search, which need not fail on a mismatch
+        raise GroupError(f"rows of shape {rows.shape} given to a group of degree {degree}")
+    return rows.astype(np.uint8, copy=False)
 
 
 class _Level(NamedTuple):
@@ -128,13 +138,6 @@ class BSGS:
         chain._set_order()
         return chain
 
-    def _checked_rows(self, rows) -> np.ndarray:
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[1] != self.degree:
-            # checked before any indexing, which need not fail on a mismatch
-            raise GroupError(f"rows of shape {rows.shape} given to a chain of degree {self.degree}")
-        return rows.astype(np.uint8, copy=False)
-
     def _sifted(self, rows: np.ndarray, start: int) -> np.ndarray:
         """Each uint8 row times the inverse representatives it meets in
         levels[start:], two gathers per level: the identity iff the row
@@ -154,7 +157,7 @@ class BSGS:
     def sift_rows(self, rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Each (m, degree) row reduced through levels[start:]: the residue
         rows and the level where each got stuck, len(base) if none."""
-        res = self._checked_rows(rows).copy()
+        res = _checked_rows(rows, self.degree).copy()
         stuck = np.full(len(res), len(self.base), dtype=np.intp)
         live = np.arange(len(res))
         for i in range(start, len(self.base)):
@@ -174,7 +177,7 @@ class BSGS:
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """mask[i] = row i is an element of the group."""
-        res = self._sifted(self._checked_rows(rows), 0)
+        res = self._sifted(_checked_rows(rows, self.degree), 0)
         return (res == np.arange(self.degree)).all(axis=1)
 
     def coset_keys(self, rows: np.ndarray) -> np.ndarray:
@@ -183,15 +186,12 @@ class BSGS:
         the base points are least, in base order.  Level by level, the
         orbit point the row sends least picks the representative u, and
         the row becomes u * row (u applied first)."""
-        res = self._checked_rows(rows)
+        res = _checked_rows(rows, self.degree)
         at = np.arange(len(res))[:, None]
         for level in self._levels:
             least = np.argmin(res[:, level.points], axis=1)
             res = res[at, level.reps[least]]
         return res
-
-    def __contains__(self, g: Perm) -> bool:
-        return bool(self.contains_rows(g.images[None, :])[0])
 
     def extend(self, g: Perm) -> bool:
         """Adjoin one element; returns True if the group grew."""
@@ -369,16 +369,21 @@ class PermutationGroup:
             return len(self._listing)
         return self.bsgs.order
 
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """mask[i] = row i is an element: one search of the listing's lex
+        keys when the group holds one, else a sift through its chain."""
+        if self._listing is not None:
+            return in_listing(self._listing, _checked_rows(rows, self.degree))
+        return self.bsgs.contains_rows(rows)
+
     def __contains__(self, g: Perm) -> bool:
-        if g.degree != self.degree:
-            return False
-        return g in self.bsgs
+        return g.degree == self.degree and bool(self.contains_rows(g.images[None, :])[0])
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
         if not self.generators:
             return True
         return self.degree == other.degree and bool(
-            other.bsgs.contains_rows(rows_of(self.generators, self.degree)).all()
+            other.contains_rows(rows_of(self.generators, self.degree)).all()
         )
 
     # --- orbits and actions ----------------------------------------------
@@ -400,23 +405,6 @@ class PermutationGroup:
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1 and self.degree >= 1
-
-    def induced_action(self, points) -> tuple["PermutationGroup", dict[int, int]]:
-        """Faithful image of the action on an invariant point set.
-
-        Returns the image group on len(points) relabeled points and the
-        point map old -> new.  Raises if the set is not invariant.
-        """
-        pts = sorted(int(p) for p in points)
-        relabel = {p: i for i, p in enumerate(pts)}
-        gens = []
-        for g in self.generators:
-            images = [g(p) for p in pts]
-            if any(q not in relabel for q in images):
-                raise GroupError("point set is not invariant under the group")
-            gens.append(Perm([relabel[q] for q in images]))
-        image = PermutationGroup(len(pts), gens)
-        return image, relabel
 
     # --- element streaming -------------------------------------------------
 
@@ -487,65 +475,43 @@ class PermutationGroup:
 
     # --- block systems -----------------------------------------------------
 
-    def minimal_block_systems(self, orbit=None) -> list["BlockSystem"]:
-        """All minimal nontrivial block systems on one orbit.
+    def block_closures(self):
+        """(beta, labels) for each point beta > 0 of the first orbit, the
+        orbit of 0, lazily: labels is the finest block system joining 0
+        and beta (``_join_classes`` over all points, so blocks are
+        numbered by least point and each point off the orbit is alone).
+        The action on the orbit is imprimitive iff some closure leaves an
+        orbit point outside 0's block."""
+        gens = [g.images for g in self.generators]
+        for beta in self.orbit(0)[1:].tolist():
+            yield beta, _join_classes(self.degree, [(0, beta)], gens)
 
-        Defaults to the first orbit; empty list iff that action is
+    def minimal_block_systems(self) -> list[np.ndarray]:
+        """All minimal nontrivial block systems on the first orbit, as
+        int16 block labels per point, blocks numbered by least point and
+        -1 off the orbit, sorted by their labels; empty iff that action is
         primitive (or the orbit is too short to split).
+
+        A closure of (0, beta) other than the whole orbit is minimal iff
+        every other point of 0's block closes to the same labels: a finer
+        nontrivial system would join 0 to a point of that block, and so
+        contain that point's closure.
         """
-        orb = np.asarray(sorted(orbit)) if orbit is not None else self.orbit(0)
-        image, relabel = self.induced_action(orb)
-        m = len(orb)
-        if m < 2:
-            return []
-        gens = [g.images for g in image.generators]
-        systems = {}
-        for beta in range(1, m):
-            block_of = _join_classes(m, [(0, beta)], gens)
-            nblocks = int(block_of.max()) + 1
-            if nblocks <= 1:
-                continue
-            systems.setdefault(block_of.tobytes(), block_of)
-        keep = []
-        items = sorted(systems.values(), key=lambda b: b.tobytes())
-        for cand in items:
-            minimal = True
-            for other in items:
-                if other is cand:
-                    continue
-                if _refines(other, cand) and not np.array_equal(other, cand):
-                    minimal = False
-                    break
-            if minimal:
-                keep.append(cand)
-        out = []
-        for block_of in keep:
-            full = np.full(self.degree, -1, dtype=np.int16)
-            full[orb] = block_of
-            nblocks = int(block_of.max()) + 1
-            out.append(BlockSystem(self.degree, full, nblocks, m // nblocks))
-        return out
-
-
-@dataclass
-class BlockSystem:
-    """A G-invariant partition of one orbit into equal-size blocks.
-
-    block_of maps a point to its block id, -1 off the orbit.
-    """
-
-    degree: int
-    block_of: np.ndarray
-    num_blocks: int
-    block_size: int
-
-    def __post_init__(self):
-        on = self.block_of >= 0
-        if self.num_blocks * self.block_size != int(on.sum()):
-            raise GroupError("block count times block size must cover the orbit")
-        counts = np.bincount(self.block_of[on], minlength=self.num_blocks)
-        if not (counts == self.block_size).all():
-            raise GroupError("blocks are not of equal size")
+        orbit = self.orbit(0)
+        closures = dict(self.block_closures())
+        systems = []
+        for beta, labels in closures.items():
+            on = labels[orbit]
+            block = orbit[on == on[0]]
+            # each minimal system once, at the least beta of 0's block
+            if beta == block[1] and len(block) < len(orbit) and all(
+                np.array_equal(closures[x], labels) for x in block[2:].tolist()
+            ):
+                full = np.full(self.degree, -1, dtype=np.int16)
+                # the orbit's labels renumbered 0, 1, ... in their order
+                full[orbit] = np.searchsorted(np.flatnonzero(np.bincount(on)), on)
+                systems.append(full)
+        return sorted(systems, key=lambda s: s.tolist())
 
 
 def _join_classes(m: int, pairs, gen_rows=()) -> np.ndarray:
@@ -581,18 +547,6 @@ def _join_classes(m: int, pairs, gen_rows=()) -> np.ndarray:
     for x in range(m):
         label[x] = labels.setdefault(find(x), len(labels))
     return label
-
-
-def _refines(finer: np.ndarray, coarser: np.ndarray) -> bool:
-    """True if every block of `finer` lies inside a block of `coarser`."""
-    seen = {}
-    for f, c in zip(finer.tolist(), coarser.tolist()):
-        if f in seen:
-            if seen[f] != c:
-                return False
-        else:
-            seen[f] = c
-    return True
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

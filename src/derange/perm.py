@@ -221,3 +221,9 @@ def lex_keys(rows: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(rows, dtype=np.uint8)
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
+
+def in_listing(listing: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """mask[i] = row i is one of the rows of a lex-sorted listing: one
+    search of the listing's lex keys."""
+    keys, probe = lex_keys(listing), lex_keys(rows)
+    return keys.take(np.searchsorted(keys, probe), mode="clip") == probe

@@ -1,12 +1,15 @@
-"""End-to-end verification that two-equal-orbit groups of one degree
-have derangements.
+"""End-to-end verification that the two-equal-orbit groups of one
+degree whose projections are imprimitive have derangements.
 
 For a degree n: every subdirect product of two transitive imprimitive
-groups of degree n is a group with two equal orbits, and every such
-group arises that way.  Pairs whose non-derangement proportions sum
-below 1 cannot lack a derangement (the proportions add under the two
-projections), so they are pruned exactly; the survivors are enumerated
-by Goursat descriptors and checked coset by coset.
+groups of degree n is a group with two equal orbits, and the verdict
+covers those only.  A group with two equal orbits is a subdirect
+product of its two transitive projections, but these may be primitive,
+and pairs with a primitive factor are not checked (ROADMAP item 4).
+Pairs whose non-derangement proportions sum below 1 cannot lack a
+derangement (the proportions add under the two projections), so they
+are pruned exactly; the survivors are enumerated by Goursat descriptors
+and checked coset by coset.
 """
 
 import json

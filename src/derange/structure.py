@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import ENUM_CAP, GroupError, PermutationGroup, ResourceCapExceeded, factorize
-from .perm import Perm, conjugate_rows, invert_rows, lex_keys, lex_sorted, rows_of
+from .perm import Perm, conjugate_rows, in_listing, invert_rows, lex_keys, lex_sorted, rows_of
 
 
 def p_part(n: int, p: int) -> int:
@@ -112,25 +112,21 @@ def normal_closure(table: ConjugacyClassTable, mask: int) -> PermutationGroup:
 
     Its elements are the table's rows in those classes, already
     lex-sorted.  Each of them times the representative of each of its
-    classes must land in those classes again, found by one search of the
-    table's lex keys; else GroupError.  That suffices: for x and a
-    conjugate y = g^-1 r g of a representative r, x * y is the conjugate
-    by g of (g x g^-1) * r, and g x g^-1 lies in the union too.  So the
-    union is closed under products, a subgroup, and normal as a union of
-    classes.
+    classes must be one of them again, found by one search of their lex
+    keys (``perm.in_listing``); else GroupError.  That suffices: for x
+    and a conjugate y = g^-1 r g of a representative r, x * y is the
+    conjugate by g of (g x g^-1) * r, and g x g^-1 lies in the union
+    too.  So the union is closed under products, a subgroup, and normal
+    as a union of classes.
     """
     classes = _bits(mask)
     inside = np.zeros(len(table), dtype=bool)
     inside[classes] = True
-    member = inside[table.class_of]
-    rows = table.rows[member]
+    rows = table.rows[inside[table.class_of]]
     if not inside.all():  # the whole listing is the group
-        keys = lex_keys(table.rows)
         reps = rows_of([table.classes[c].rep for c in classes], table.group.degree)
         # products[r, x] = rows[x] * reps[r]
-        probe = lex_keys(reps[:, rows].reshape(-1, table.group.degree))
-        at = np.searchsorted(keys, probe)
-        if not (keys.take(at, mode="clip") == probe).all() or not member.take(at, mode="clip").all():
+        if not in_listing(rows, reps[:, rows].reshape(-1, table.group.degree)).all():
             raise GroupError(f"the classes of mask {mask:#x} are not closed under products")
     return PermutationGroup.from_listing(rows)
 
@@ -274,9 +270,9 @@ def p_element_rows(group: PermutationGroup, p: int) -> np.ndarray:
     return rows[np.argsort(-np.concatenate(exps), kind="stable")]
 
 
-def _first_normalizing(keys: np.ndarray, gens: np.ndarray, pool: np.ndarray) -> np.ndarray | None:
+def _first_normalizing(listing: np.ndarray, gens: np.ndarray, pool: np.ndarray) -> np.ndarray | None:
     """The first pool row that conjugates every generator row into the
-    lex-sorted rows with these lex keys, or None.  With no generators
+    lex-sorted listing, or None.  With no generators
     that is the first row, untested: every row normalizes the trivial
     group.  The candidates are tested in blocks, one membership search
     per block."""
@@ -288,16 +284,10 @@ def _first_normalizing(keys: np.ndarray, gens: np.ndarray, pool: np.ndarray) -> 
         # conj[c, k] = cands[c]^-1 * gens[k] * cands[c]
         conj = cands[np.arange(len(cands))[:, None, None],
                      gens[np.arange(len(gens))[None, :, None], invert_rows(cands)[:, None, :]]]
-        hits = _in_listing(keys, conj.reshape(-1, n)).reshape(len(cands), len(gens)).all(axis=1)
+        hits = in_listing(listing, conj.reshape(-1, n)).reshape(len(cands), len(gens)).all(axis=1)
         if hits.any():
             return cands[np.argmax(hits)]
     return None
-
-
-def _in_listing(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """mask[i] = row i is one of the lex-sorted rows with these lex keys."""
-    probe = lex_keys(rows)
-    return keys.take(np.searchsorted(keys, probe), mode="clip") == probe
 
 
 def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
@@ -322,23 +312,21 @@ def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
     n = group.degree
     ident = np.arange(n, dtype=np.uint8)
     listing = ident[None, :]
-    keys = lex_keys(listing)
     gens = np.empty((0, n), dtype=np.uint8)
     # big orders first so P grows in few steps
     pool = p_element_rows(group, p) if target > 1 else gens
     while len(listing) < target:
-        pool = pool[~_in_listing(keys, pool)]
-        g = _first_normalizing(keys, gens, pool)
+        pool = pool[~in_listing(listing, pool)]
+        g = _first_normalizing(listing, gens, pool)
         if g is None:
             break
         powers = [g]  # g^1, g^2, ... up to the identity
         while (powers[-1] != ident).any():
             powers.append(g[powers[-1]])
-        i = 1 + int(np.argmax(_in_listing(keys, np.array(powers))))
+        i = 1 + int(np.argmax(in_listing(listing, np.array(powers))))
         cosets = [listing] + [power[listing] for power in powers[:i - 1]]
         gens = np.concatenate([gens, g[None, :]])
         listing = lex_sorted(np.concatenate(cosets))
-        keys = lex_keys(listing)
     if len(listing) != target:
         raise GroupError(f"grew a {p}-subgroup of order {len(listing)}, not the p-part {target}")
     return PermutationGroup.from_listing(

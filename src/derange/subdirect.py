@@ -44,10 +44,7 @@ class QuotientModel:
     multiplication with the element at point p, so the table doubles as
     the multiplication table: point of x*y equals table[point(y),
     point(x)].  reps[p] is a parent-group representative of the coset at
-    point p, reps[0] the identity.  enc maps each coset's key to its
-    point: the bytes of the coset's element whose images of the kernel
-    chain's base points are least (``BSGS.coset_keys``), which need not
-    be its lex-least element.
+    point p, reps[0] the identity.
     """
 
     parent: PermutationGroup
@@ -55,7 +52,6 @@ class QuotientModel:
     table: np.ndarray = field(repr=False)
     reps: list[Perm] = field(repr=False)
     kernel_rows: np.ndarray = field(repr=False)
-    enc: dict[bytes, int] = field(repr=False)
     # least_in_orbits' masks, by the bytes of the centralizer's points
     _orbit_masks: dict[bytes, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
@@ -216,7 +212,7 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
         raise GroupError("kernel is not a subgroup of the parent")
     n_rows = rows_of(N.generators, G.degree)
     conj = [conjugate_rows(n_rows, g) for g in G.generators]
-    if conj and not N.bsgs.contains_rows(np.concatenate(conj)).all():
+    if conj and not N.contains_rows(np.concatenate(conj)).all():
         raise GroupError("kernel is not normal in the parent")
 
     n, chain = G.degree, N.bsgs
@@ -261,7 +257,7 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
     # (and G) alive after their last use until the cyclic collector runs
     kernel = PermutationGroup(N.degree, N.generators, name=N.name)
     kernel._bsgs, kernel._listing = N.bsgs, N._listing
-    model = QuotientModel(G, kernel, table, reps, N.element_rows(), enc)
+    model = QuotientModel(G, kernel, table, reps, N.element_rows())
     if model.order * N.order != G.order:
         raise GroupError("quotient order times kernel order is not the parent order")
     N._quotient = model

@@ -4,9 +4,10 @@ Everything here trades speed for obvious correctness: no conjugacy
 shortcuts, no lattice pruning, just exhaustive closure growth.  Also the
 one-element helpers the tests share (a group's elements as ``Perm``s,
 the group holding a built chain, conjugation, the derangement test,
-equality of two subgroups, the direct product of two groups, a block
-system's blocks and a class table's sizes, and a quotient model's coset
-as rows), the lex-least coset key
+equality of two subgroups, the direct product of two groups, a group's
+action on a point range, the blocks of a block labelling and a class
+table's sizes, and a quotient model's coset as rows), the lex-least
+coset key
 and the quotient model enumerated with it, the class-sum count of
 non-derangements that the scan must match, the reference versions of
 the class table, the chain-grown Sylow subgroup and the plain reading
@@ -83,11 +84,18 @@ def is_derangement(g: Perm, omega) -> bool:
     return not fixes_any(g.images[None, :], list(omega))[0]
 
 
-def blocks(system) -> list[tuple[int, ...]]:
-    """The blocks of a block system, each as its sorted points, in
-    block-label order."""
-    out = [[] for _ in range(system.num_blocks)]
-    for p, b in enumerate(system.block_of.tolist()):
+def project(group, lo: int, hi: int) -> PermutationGroup:
+    """The action on the points lo..hi-1, relabelled 0..hi-lo-1: the
+    generators cut to that range (Perm rejects the cut when the range is
+    not invariant)."""
+    return PermutationGroup(hi - lo, [Perm(g.images[lo:hi] - lo) for g in group.generators])
+
+
+def blocks(labels) -> list[tuple[int, ...]]:
+    """The blocks of a block labelling (-1 off its orbit), each as its
+    sorted points, in label order."""
+    out = [[] for _ in range(int(labels.max()) + 1)]
+    for p, b in enumerate(labels.tolist()):
         if b >= 0:
             out[b].append(p)
     return [tuple(b) for b in out]

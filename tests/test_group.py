@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from derange import (
-    BlockSystem,
     GroupError,
     Perm,
     PermutationGroup,
@@ -166,26 +165,6 @@ def test_orbit_of_a_point_out_of_range_rejected():
         g.orbit(7)
 
 
-def test_induced_action_faithful_on_invariant_set():
-    g = PermutationGroup.from_cycles(7, [[(0, 1, 2)], [(3, 4)], [(5, 6)]])
-    img, relabel = g.induced_action([3, 4, 5, 6])
-    assert img.degree == 4
-    assert img.order == 4
-    assert relabel == {3: 0, 4: 1, 5: 2, 6: 3}
-    with pytest.raises(GroupError):
-        g.induced_action([0, 1])  # not invariant
-
-
-def test_project_matches_induced_generators():
-    g = stock("S3xS3")
-    img, relabel = g.induced_action([3, 4, 5])
-    pts = sorted(relabel, key=relabel.get)
-    for el in [g.generators[2], g.generators[3], g.generators[0]]:
-        p = Perm([relabel[el(x)] for x in pts])
-        assert p.degree == 3
-        assert p in img
-
-
 def test_random_element_membership_and_determinism():
     g = stock("A5")
     rng = np.random.default_rng(11)
@@ -325,6 +304,38 @@ def test_contains_rows_matches_sift_rows_at_degree_250():
         assert np.array_equal(got, sift_membership(group.bsgs, rows))
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_listing_membership_matches_the_chain(n):
+    # a builtin entry holds its listing: contains_rows and `in` search it,
+    # build no chain, and answer as the chain read off the listing does
+    rng = np.random.default_rng(n)
+    answers = set()
+    for e in enumerate_transitive(n).entries:
+        group = e.group
+        rows = np.concatenate([
+            np.array([rng.permutation(n) for _ in range(40)], dtype=np.uint8),
+            group.element_rows()[::3],
+        ])
+        got = group.contains_rows(rows)
+        assert [Perm(r) in group for r in rows] == got.tolist()
+        assert group._bsgs is None
+        assert np.array_equal(got, group.bsgs.contains_rows(rows)), e.name
+        answers.update(got.tolist())
+    assert answers == ({True} if n == 2 else {True, False})
+
+
+@pytest.mark.parametrize("listing", [True, False], ids=["listing", "chain"])
+def test_contains_rows_rejects_other_degrees(listing):
+    group = PermutationGroup.symmetric(3)
+    if listing:
+        group = PermutationGroup.from_listing(group.element_rows().copy())
+    for rows in (np.zeros((1, 2), dtype=np.uint8), np.zeros((1, 4), dtype=np.uint8), np.zeros(3)):
+        with pytest.raises(GroupError, match="given to a group of degree 3"):
+            group.contains_rows(rows)
+    assert Perm([1, 0]) not in group and Perm([1, 0, 3, 2]) not in group
+    assert group._bsgs is None if listing else group._bsgs is not None
+
+
 @pytest.mark.parametrize("gens", [[], [cyc(3, (0, 1, 2))]], ids=["empty-base", "base"])
 @pytest.mark.parametrize("g", [Perm([1, 0]), Perm([1, 0, 3, 2])], ids=["2-point", "4-point"])
 def test_chain_rejects_other_degrees(gens, g):
@@ -403,7 +414,7 @@ def test_minimal_block_systems():
     c4 = stock("C4").minimal_block_systems()
     assert len(c4) == 1 and [sorted(b) for b in blocks(c4[0])] == [[0, 2], [1, 3]]
     d4 = stock("D4").minimal_block_systems()
-    assert len(d4) == 1 and d4[0].block_size == 2
+    assert len(d4) == 1 and [len(b) for b in blocks(d4[0])] == [2, 2]
     v4 = stock("V4").minimal_block_systems()
     assert len(v4) == 3
     for s in v4:
@@ -471,11 +482,19 @@ def test_minimal_block_systems_by_brute_force():
         assert got == minimal(invariant_partitions(g)), name
 
 
-def test_block_system_validation():
-    with pytest.raises(GroupError):
-        BlockSystem(4, np.array([0, 0, 0, 1]), 2, 2)
-    with pytest.raises(GroupError):
-        BlockSystem(4, np.array([0, 1, 0, 1]), 2, 3)
+@pytest.mark.parametrize("degree, cycles, labels", [
+    # first orbit {0, 2, 4, 6} under a dihedral group of order 8
+    (7, [[(0, 2, 4, 6)], [(1, 3)], [(0, 4)]], [[0, -1, 1, -1, 0, -1, 1]]),
+    # first orbit {0, 2, 5, 7} under a Klein four-group
+    (8, [[(0, 5), (2, 7)], [(0, 2), (5, 7)], [(1, 3)]],
+     [[0, -1, 0, -1, -1, 1, -1, 1], [0, -1, 1, -1, -1, 0, -1, 1], [0, -1, 1, -1, -1, 1, -1, 0]]),
+], ids=["D4-on-evens", "V4-on-0257"])
+def test_minimal_block_systems_off_a_leading_orbit(degree, cycles, labels):
+    # labels pinned from the earlier induced-action implementation: blocks
+    # numbered by least point within the first orbit, -1 off it
+    systems = PermutationGroup.from_cycles(degree, cycles).minimal_block_systems()
+    assert all(s.dtype == np.int16 for s in systems)
+    assert [s.tolist() for s in systems] == labels
 
 
 def test_closure_rows_cap():

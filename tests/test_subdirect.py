@@ -38,6 +38,7 @@ from oracles import (
     coset_rows,
     elements,
     lex_coset_key,
+    project,
     reference_dedup_isomorphisms,
     reference_isomorphisms,
     reference_generating_points,
@@ -127,19 +128,21 @@ def test_chain_coset_keys_match_lex_least_keys(n):
             reps, table, enc = reference_quotient(G, N)
             assert [r.key for r in q.reps] == [r.key for r in reps], (e.name, N.order)
             assert np.array_equal(q.table, table), (e.name, N.order)
-            keys = q.kernel.bsgs.coset_keys(rows_of(reps, n))
-            assert [q.enc[k.tobytes()] for k in keys] == list(range(q.order))
+            # the point of each chain key, read off the model's reps
+            keys = q.kernel.bsgs.coset_keys(rows_of(q.reps, n))
+            point_of = {k.tobytes(): p for p, k in enumerate(keys)}
+            assert len(point_of) == q.order
             for p in sorted({0, 1 % q.order, q.order - 1}):
                 rows = coset_rows(q, p)
                 assert np.array_equal(q.coset_rows([p])[0], rows)
                 keys = q.kernel.bsgs.coset_keys(rows)
-                assert (keys == keys[0]).all() and q.enc[keys[0].tobytes()] == p
+                assert (keys == keys[0]).all() and point_of[keys[0].tobytes()] == p
                 for row in rows[rng.choice(len(rows), min(len(rows), 8), replace=False)]:
                     g = Perm(row, validate=False)
                     assert enc[lex_coset_key(q.kernel_rows, g)] == p
             if outside is not None:
                 # its coset holds no element of G, so no key of the model
-                assert q.kernel.bsgs.coset_keys(outside.images[None, :]).tobytes() not in q.enc
+                assert q.kernel.bsgs.coset_keys(outside.images[None, :]).tobytes() not in point_of
             models += 1
     assert models >= len(corpus)
 
@@ -154,6 +157,13 @@ class TestQuotient:
         q = quotient(S4, V4)
         assert q.order == 6
         assert sorted(q.element_orders.tolist()) == [1, 2, 2, 2, 3, 3]
+
+    def test_parent_held_as_a_listing_builds_no_chain(self):
+        # the subgroup and normality checks search the parent's listing
+        for e in enumerate_transitive(5).entries:
+            for N in normal_subgroups(e.group):
+                quotient(e.group, N)
+            assert e.group._bsgs is None
 
     def test_whole_group_gives_trivial_quotient(self):
         q = quotient(S4, S4)
@@ -509,8 +519,8 @@ def brute_subdirect_classes(G1, G2):
     assert P.order == G1.order * G2.order
     keep = []
     for H in subgroup_scan(P):
-        p1, _ = H.induced_action(list(range(n1)))
-        p2, _ = H.induced_action(list(range(n1, n1 + G2.degree)))
+        p1 = project(H, 0, n1)
+        p2 = project(H, n1, n1 + G2.degree)
         if p1.order == G1.order and p2.order == G2.order:
             keep.append(H)
     return conjugacy_reps(P, keep)
@@ -636,8 +646,8 @@ class TestMaterialize:
             for d in goursat_enumerate(G1, G2):
                 G = materialize_group(d)
                 assert G.order == d.subgroup_order == G1.order * d.q2.kernel.order
-                p1, _ = G.induced_action(list(range(G1.degree)))
-                p2, _ = G.induced_action(list(range(G1.degree, G1.degree + G2.degree)))
+                p1 = project(G, 0, G1.degree)
+                p2 = project(G, G1.degree, G1.degree + G2.degree)
                 assert p1.order == G1.order
                 assert p2.order == G2.order
 
@@ -702,6 +712,22 @@ class TestMaterialize:
             H = materialize_group(d)
             cert = sylow_certificate(TwoOrbitAction.of(H), 5)
             assert cert.orbit_lengths == (5, 5, 5, 5)
+            assert H._bsgs is None
+
+    def test_membership_read_off_the_listing_builds_no_chain(self):
+        # rows of G1 x G2, in H or not, and each witness: H answers as the
+        # chain of the same product does, and builds no chain of its own
+        rng = np.random.default_rng(6)
+        for d in sweep_descriptors(6, 2000):
+            H, R = materialize_group(d), reference_materialize(d)
+            G1, G2 = d.q1.parent, d.q2.parent
+            probes = np.array([
+                np.concatenate([G1.random_element(rng).images, G2.random_element(rng).images + G1.degree])
+                for _ in range(16)
+            ], dtype=np.uint8)
+            assert np.array_equal(H.contains_rows(probes), R.contains_rows(probes))
+            w = subdirect_derangement(d)
+            assert w is not None and w in H
             assert H._bsgs is None
 
     def test_materialized_elements_satisfy_matching(self):
@@ -888,8 +914,8 @@ class TestSubdirectDerangement:
         G = covered_sylow_group()
         want = brute_derangement(G)
         assert want is not None
-        G1, _ = G.induced_action(list(range(6)))
-        G2, _ = G.induced_action(list(range(6, 12)))
+        G1 = project(G, 0, 6)
+        G2 = project(G, 6, 12)
         hit = 0
         for d in goursat_enumerate(G1, G2, dedup=False):
             got = subdirect_derangement(d)

@@ -19,7 +19,7 @@ from derange.group import GroupError, PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm
 from derange.subgroups import ElementTable, subgroup_classes
 from oracles import (
-    SRC, closure_rows, conjugate, direct_product, elements, reference_subgroup_classes,
+    SRC, closure_rows, conjugate, direct_product, elements, project, reference_subgroup_classes,
 )
 
 
@@ -245,8 +245,8 @@ class TestProductScan:
         hits = []
         for c in subgroup_classes(P, et):
             G = PermutationGroup(6, [et.perm(i) for i in c.gen_indices] or [Perm.identity(6)])
-            p1, _ = G.induced_action([0, 1, 2, 3])
-            p2, _ = G.induced_action([4, 5])
+            p1 = project(G, 0, 4)
+            p2 = project(G, 4, 6)
             if p1.order == 12 and p2.order == 2:
                 hits.append(c.order)
         assert hits == [24]
