@@ -23,7 +23,6 @@ BUILTIN_CAP = 7
 class CorpusEntry:
     name: str
     group: PermutationGroup
-    transitive: bool = True
     primitive: bool | None = None
     pndr: PndrValue | None = None
 
@@ -48,10 +47,6 @@ def _is_imprimitive(group: PermutationGroup) -> bool:
     ends the search."""
     orbit = group.orbit(0)
     return any((labels[orbit] > 0).any() for _, labels in group.block_closures())
-
-
-def _whole_domain(degree: int) -> tuple:
-    return tuple(range(degree))
 
 
 def enumerate_transitive(n: int) -> GroupCorpus:
@@ -85,9 +80,8 @@ def enumerate_transitive(n: int) -> GroupCorpus:
             CorpusEntry(
                 name=f"T{n}.{i}",
                 group=group,
-                transitive=True,
                 primitive=not _is_imprimitive(group),
-                pndr=pndr(group, _whole_domain(n)),
+                pndr=pndr(group, range(n)),
             )
         )
     return GroupCorpus(n, entries, "builtin-enumeration")
@@ -184,6 +178,6 @@ def imprimitive_filter(corpus: GroupCorpus, enum_cap: int = ENUM_CAP) -> GroupCo
         if e.primitive:
             continue
         if e.pndr is None and e.group.order <= enum_cap:
-            e.pndr = pndr(e.group, _whole_domain(corpus.degree), enum_cap=enum_cap)
+            e.pndr = pndr(e.group, range(corpus.degree), enum_cap=enum_cap)
         kept.append(e)
     return GroupCorpus(corpus.degree, kept, corpus.source)

@@ -42,6 +42,8 @@ class ResourceCapExceeded(RuntimeError):
 # the most elements (group elements or field vectors) any exhaustive
 # scan lists, unless a caller passes its own cap
 ENUM_CAP = 10**7
+# rows per block when elements are streamed or scanned block by block
+BLOCK_ROWS = 1 << 15
 
 
 def _checked_rows(rows, degree: int) -> np.ndarray:
@@ -408,7 +410,7 @@ class PermutationGroup:
 
     # --- element streaming -------------------------------------------------
 
-    def element_blocks(self, block_rows: int = 1 << 15):
+    def element_blocks(self, block_rows: int = BLOCK_ROWS):
         """Yield all elements as uint8 row blocks, in a fixed order.
 
         The order is the listing's, when the group holds one, and else the

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .corpus import GroupCorpus, enumerate_transitive, imprimitive_filter
 from .derangements import count_nonderangements, pndr_pair_bound
 from .group import ENUM_CAP, GroupError, ResourceCapExceeded
-from .structure import normal_subgroups
+from .structure import CLASS_CAP, normal_subgroups
 from .subdirect import (
     ISO_CAP,
     QUOTIENT_CAP,
@@ -27,8 +27,6 @@ from .subdirect import (
     materialize_group,
     subdirect_derangement,
 )
-
-CLASS_CAP = 10**6
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,9 @@ import numpy as np
 from .group import ENUM_CAP, GroupError, PermutationGroup, ResourceCapExceeded, factorize
 from .perm import Perm, conjugate_rows, in_listing, invert_rows, lex_keys, lex_sorted, rows_of
 
+# the largest group a class table lists
+CLASS_CAP = 10**6
+
 
 def p_part(n: int, p: int) -> int:
     """Largest power of the prime p dividing n."""
@@ -65,7 +68,7 @@ class ConjugacyClassTable:
         return iter(self.classes)
 
 
-def conjugacy_classes(group: PermutationGroup, cap: int = 10**6) -> ConjugacyClassTable:
+def conjugacy_classes(group: PermutationGroup, cap: int = CLASS_CAP) -> ConjugacyClassTable:
     """Conjugacy class table of a group of order at most cap.
 
     The group is listed (over cap it raises ResourceCapExceeded before
@@ -165,7 +168,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def normal_subgroups(group: PermutationGroup, class_cap: int = 10**6) -> list[PermutationGroup]:
+def normal_subgroups(group: PermutationGroup, class_cap: int = CLASS_CAP) -> list[PermutationGroup]:
     """Every normal subgroup, sorted by order and then by class mask.
 
     A normal subgroup is a union of classes closed under products, so

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import row_orders
-from .group import ENUM_CAP, GroupError, PermutationGroup, ResourceCapExceeded
+from .group import BLOCK_ROWS, ENUM_CAP, GroupError, PermutationGroup, ResourceCapExceeded
 from .perm import (
     MAX_DEGREE,
     Perm,
@@ -29,11 +29,9 @@ from .perm import (
     rows_of,
 )
 from .structure import normal_subgroups
-from .subgroups import table_closure
 
 QUOTIENT_CAP = 2000
 ISO_CAP = 10**5
-_WITNESS_BLOCK = 1 << 15  # rows per block, as in PermutationGroup.element_blocks
 
 
 @dataclass(eq=False)
@@ -43,14 +41,15 @@ class QuotientModel:
     table[p] is the permutation of coset points induced by right
     multiplication with the element at point p, so the table doubles as
     the multiplication table: point of x*y equals table[point(y),
-    point(x)].  reps[p] is a parent-group representative of the coset at
-    point p, reps[0] the identity.
+    point(x)].  reps[p] is the row of a parent-group representative of
+    the coset at point p, reps[0] the identity's; the (m, degree) array
+    is read-only.
     """
 
     parent: PermutationGroup
     kernel: PermutationGroup
     table: np.ndarray = field(repr=False)
-    reps: list[Perm] = field(repr=False)
+    reps: np.ndarray = field(repr=False)
     kernel_rows: np.ndarray = field(repr=False)
     # least_in_orbits' masks, by the bytes of the centralizer's points
     _orbit_masks: dict[bytes, np.ndarray] = field(default_factory=dict, init=False, repr=False)
@@ -68,7 +67,7 @@ class QuotientModel:
         """rank[p] = position of reps[p] in the lex order of all coset
         representatives."""
         ranks = np.empty(self.order, dtype=self.table.dtype)
-        ranks[lex_order(rows_of(self.reps, self.parent.degree))] = np.arange(self.order)
+        ranks[lex_order(self.reps)] = np.arange(self.order)
         return ranks
 
     def least_in_orbits(self, cent: np.ndarray) -> np.ndarray:
@@ -89,32 +88,14 @@ class QuotientModel:
     def element_orders(self) -> np.ndarray:
         return row_orders(self.table)
 
-    @cached_property
+    @property
     def generating_points(self) -> list[int]:
-        """Small deterministic generating sequence: greedy by descending
-        element order, ties broken by coset-representative lex order.
-        A point outside the subgroup generated so far always grows it,
-        and one inside never does, so only those outside are closed."""
-        m = self.order
-        gens: list[int] = []
-        if m > 1:
-            orders = self.element_orders
-            pref = sorted(range(m), key=lambda p: (-int(orders[p]), self.reps[p].key))
-            inside = np.zeros(m, dtype=bool)
-            inside[0] = True
-            size = 1
-            for p in pref:
-                if size == m:
-                    break
-                if inside[p]:
-                    continue  # adjoining it would not grow the subgroup
-                gens = gens + [p]
-                closed = table_closure(self.table.T, gens)
-                inside[closed] = True
-                size = closed.size
-            if size != m:
-                raise GroupError(f"generating points reach {size} of {m} quotient points")
-        return gens
+        """Small deterministic generating sequence g_0, g_1, ...: greedy
+        by descending element order, ties broken by coset-representative
+        lex order, as chosen by the walk of ``prefix_trees``.  g_d is the
+        first point new in H_d, reached from the identity: slot d's tree
+        starts with (g_d, 0, d)."""
+        return [tree[0][0] for tree, _ in self.prefix_trees]
 
     @cached_property
     def prefix_trees(self) -> list[tuple[list, list]]:
@@ -122,14 +103,27 @@ class QuotientModel:
         subgroup H_d = <g_0..g_d> not already in H_(d-1), as (y, x, k)
         with y = x*g_k: the Schreier tree of the points new in H_d, in
         an order that places each parent before its children, and every
-        other new edge."""
-        gens = self.generating_points
-        rows = [self.table[g].tolist() for g in gens]
-        seen = bytearray(self.order)
+        other new edge.
+
+        One walk chooses the generating points too.  It takes the points
+        in the greedy order and adjoins each one not yet reached as the
+        next g_d; the points reached by then are exactly H_(d-1), so a
+        point inside never grows the subgroup and one outside always
+        does.  The walk ends short of all points only when the table is
+        not a Cayley table."""
+        m = self.order
+        rows: list[list[int]] = []  # rows[k][x] = point of x*g_k
+        seen = bytearray(m)
         seen[0] = 1
         members = [0]
         trees = []
-        for d in range(len(gens)):
+        for g in np.lexsort((self.point_ranks, -self.element_orders)).tolist():
+            if len(members) == m:
+                break
+            if seen[g]:
+                continue  # adjoining it would not grow the subgroup
+            d = len(rows)
+            rows.append(self.table[g].tolist())
             tree, edges, new = [], [], []
 
             def visit(x: int, k: int):
@@ -148,13 +142,15 @@ class QuotientModel:
                     visit(x, k)
             members += new
             trees.append((tree, edges))
+        if len(members) != m:
+            raise GroupError(f"generating points reach {len(members)} of {m} quotient points")
         return trees
 
     def coset_rows(self, points) -> np.ndarray:
         """The parent-group elements of the cosets at the points, as
         rows: out[i, j] is kernel element j, then the representative of
         the coset at points[i]."""
-        return rows_of([self.reps[p] for p in points], self.parent.degree)[:, self.kernel_rows]
+        return self.reps[points][:, self.kernel_rows]
 
     @cached_property
     def derangement_witnesses(self) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +160,7 @@ class QuotientModel:
 
         The cosets are listed together, kernel rows then each
         representative, in blocks of whole cosets of at most
-        _WITNESS_BLOCK rows (one coset when a coset is larger).  The
+        BLOCK_ROWS rows (one coset when a coset is larger).  The
         derangements of a block are ranked by one lex sort, and each
         coset keeps the one of least rank.
         """
@@ -173,7 +169,7 @@ class QuotientModel:
         bitmap = np.zeros(self.order, dtype=bool)
         rows = np.empty((self.order, n), dtype=np.uint8)
         rows[:] = pts
-        step = max(1, _WITNESS_BLOCK // k)
+        step = max(1, BLOCK_ROWS // k)
         for lo in range(0, self.order, step):
             block = self.coset_rows(range(lo, min(lo + step, self.order))).reshape(-1, n)
             der = np.flatnonzero(~fixes_any(block, pts))
@@ -242,7 +238,8 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
         lo = hi
     if len(rep_rows) != m:
         raise GroupError(f"coset enumeration found {len(rep_rows)} cosets, expected {m}")
-    reps = [Perm(r, validate=False) for r in np.array(rep_rows)]
+    reps = np.array(rep_rows)
+    reps.flags.writeable = False
 
     # right multiplication by reps[q] = (right mult by reps[p]) then by s
     # where q was discovered as the coset of reps[p]*s

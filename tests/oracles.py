@@ -199,7 +199,7 @@ def reference_generating_points(model) -> list[int]:
     gens: list[int] = []
     orders = model.element_orders
     size = 1
-    for p in sorted(range(m), key=lambda p: (-int(orders[p]), model.reps[p].key)):
+    for p in sorted(range(m), key=lambda p: (-int(orders[p]), model.reps[p].tobytes())):
         if size == m:
             break
         got = table_closure(model.table.T, gens + [p]).size
@@ -211,7 +211,7 @@ def reference_generating_points(model) -> list[int]:
 def coset_rows(model, p: int) -> np.ndarray:
     """The parent-group elements of a quotient model's coset at point p,
     as rows: each kernel element, then the coset's representative."""
-    return model.reps[p].images[model.kernel_rows]
+    return model.reps[p][model.kernel_rows]
 
 
 def lex_coset_key(kernel_rows: np.ndarray, g: Perm) -> bytes:
@@ -507,15 +507,16 @@ def are_conjugate(G, H, K) -> bool:
     return False
 
 
-def _combine(g1: Perm, g2: Perm) -> Perm:
-    return Perm(np.concatenate([g1.images, g2.images + g1.degree]), validate=False)
+def _combine(a: np.ndarray, b: np.ndarray) -> Perm:
+    """a on the first len(a) points, then b on the points after them."""
+    return Perm(np.concatenate([a, b + len(a)]), validate=False)
 
 
 def direct_product(G1, G2) -> PermutationGroup:
     """G1 x G2 acting on G1's points followed by G2's, shifted past them."""
-    id1, id2 = Perm.identity(G1.degree), Perm.identity(G2.degree)
-    gens = [_combine(g, id2) for g in G1.generators]
-    gens += [_combine(id1, h) for h in G2.generators]
+    id1, id2 = np.arange(G1.degree, dtype=np.uint8), np.arange(G2.degree, dtype=np.uint8)
+    gens = [_combine(g.images, id2) for g in G1.generators]
+    gens += [_combine(id1, h.images) for h in G2.generators]
     P = PermutationGroup(G1.degree + G2.degree, gens or [_combine(id1, id2)])
     if P.order != G1.order * G2.order:
         raise ValueError(f"order {P.order} is not {G1.order} * {G2.order}")
@@ -527,11 +528,11 @@ def reference_materialize(desc) -> PermutationGroup:
     lifted quotient generators plus both kernels' generators; the order
     check |G1| |N2| is what certifies the point map."""
     q1, q2 = desc.q1, desc.q2
-    id1 = Perm.identity(q1.parent.degree)
-    id2 = Perm.identity(q2.parent.degree)
+    id1 = np.arange(q1.parent.degree, dtype=np.uint8)
+    id2 = np.arange(q2.parent.degree, dtype=np.uint8)
     gens = [_combine(q1.reps[p], q2.reps[desc.point_map[p]]) for p in q1.generating_points]
-    gens.extend(_combine(n, id2) for n in q1.kernel.generators)
-    gens.extend(_combine(id1, n) for n in q2.kernel.generators)
+    gens.extend(_combine(n.images, id2) for n in q1.kernel.generators)
+    gens.extend(_combine(id1, n.images) for n in q2.kernel.generators)
     G = PermutationGroup(q1.parent.degree + q2.parent.degree, gens)
     if G.order != desc.subgroup_order:
         raise ValueError(f"order {G.order} is not the descriptor's {desc.subgroup_order}")
@@ -704,7 +705,7 @@ def reference_isomorphisms(q1, q2):
     cands = []
     for g in gens:
         pool = [p for p in range(m) if int(ord2[p]) == int(ord1[g])]
-        pool.sort(key=lambda p: q2.reps[p].key)
+        pool.sort(key=lambda p: q2.reps[p].tobytes())
         cands.append(pool)
     found = []
 

@@ -50,7 +50,7 @@ class TestEnumerateTransitive:
         assert corpus.source == "builtin-enumeration"
         for e in corpus.entries:
             assert e.group.degree == n
-            assert e.transitive and e.group.is_transitive()
+            assert e.group.is_transitive()
             assert e.primitive is not None
             assert e.pndr is not None
 

@@ -19,7 +19,7 @@ import pytest
 from derange import subdirect
 from derange.corpus import enumerate_transitive, load_corpus
 from derange.derangements import TwoOrbitAction, sylow_certificate
-from derange.group import BSGS, GroupError, PermutationGroup, ResourceCapExceeded
+from derange.group import BLOCK_ROWS, BSGS, GroupError, PermutationGroup, ResourceCapExceeded
 from derange.perm import Perm, least_derangement, lex_sorted, rows_of
 from derange.pipeline import verify_degree
 from derange.structure import normal_subgroups
@@ -32,6 +32,7 @@ from derange.subdirect import (
     quotient_isomorphisms,
     subdirect_derangement,
 )
+from derange.subgroups import table_closure
 from oracles import (
     SRC,
     conjugate,
@@ -126,10 +127,10 @@ def test_chain_coset_keys_match_lex_least_keys(n):
                 continue
             q = quotient(G, N)
             reps, table, enc = reference_quotient(G, N)
-            assert [r.key for r in q.reps] == [r.key for r in reps], (e.name, N.order)
+            assert np.array_equal(q.reps, rows_of(reps, n)), (e.name, N.order)
             assert np.array_equal(q.table, table), (e.name, N.order)
             # the point of each chain key, read off the model's reps
-            keys = q.kernel.bsgs.coset_keys(rows_of(q.reps, n))
+            keys = q.kernel.bsgs.coset_keys(q.reps)
             point_of = {k.tobytes(): p for p, k in enumerate(keys)}
             assert len(point_of) == q.order
             for p in sorted({0, 1 % q.order, q.order - 1}):
@@ -276,13 +277,39 @@ class TestQuotient:
         assert len(built) == 63
         assert len({(id(G), tuple(g.key for g in N.generators)) for G, N in built}) == 63
 
-    def test_generating_points_short_of_the_quotient_rejected(self, monkeypatch):
-        # closures that each lose their last point never reach all of S3
+    def test_generating_points_short_of_the_quotient_rejected(self):
+        # a table of identity rows is no Cayley table: every point is
+        # adjoined, and none reaches past the identity's point
         q = quotient(PermutationGroup(3, S3.generators), trivial(3))
-        real = subdirect.table_closure
-        monkeypatch.setattr(subdirect, "table_closure", lambda mult, gens: real(mult, gens)[:-1])
-        with pytest.raises(GroupError, match="generating points reach 5 of 6 quotient points"):
-            q.generating_points
+        rows = np.broadcast_to(np.arange(6, dtype=q.table.dtype), q.table.shape)
+        with pytest.raises(GroupError, match="generating points reach 1 of 6 quotient points"):
+            dataclasses.replace(q, table=rows).generating_points
+
+    def test_prefix_trees_walk_the_prefix_subgroups(self, degree9_searches):
+        # on every model verify_degree(9) builds, slot d's tree places
+        # exactly the points of H_d outside H_(d-1), each after its
+        # parent; every (y, x, k) is a table step; and tree plus edges
+        # take each step x -> x*g_k of H_d (k <= d) that no earlier slot
+        # took, once
+        models = {id(q): q for pair in degree9_searches for q in pair}
+        assert len(models) == 63
+        for q in models.values():
+            gens, before = q.generating_points, {0}
+            assert len(q.prefix_trees) == len(gens)
+            for d, (tree, edges) in enumerate(q.prefix_trees):
+                inside = set(table_closure(q.table.T, gens[:d + 1]).tolist())
+                placed = set(before)
+                for y, x, k in tree:
+                    assert x in placed and y not in placed, (q.parent.name, d)
+                    placed.add(y)
+                assert placed == inside, (q.parent.name, d)
+                y, x, k = np.array(tree + edges).T
+                assert (q.table[np.array(gens)[k], x] == y).all(), (q.parent.name, d)
+                assert sorted(zip(x.tolist(), k.tolist())) == sorted(
+                    (x, k) for x in inside for k in range(d + 1) if k == d or x not in before
+                ), (q.parent.name, d)
+                before = inside
+            assert len(before) == q.order
 
     def test_generating_points_generate(self):
         for G, N in [(S4, V4), (S4, trivial(4)), (A4, V4), (C4, trivial(4))]:
@@ -829,14 +856,14 @@ def covered_sylow_group():
     return PermutationGroup(12, [a, b, s], name="covered sylow")
 
 
-@pytest.mark.parametrize("block", [subdirect._WITNESS_BLOCK, 7])
+@pytest.mark.parametrize("block", [BLOCK_ROWS, 7])
 def test_witness_tables_match_least_derangement_per_coset(degree9_searches, monkeypatch, block):
     # every quotient model verify_degree(9) searches and every one of the
     # degree-10 sweep at scope 1200; a block of 7 rows splits cosets and
     # leaves one coset per block when the kernel is larger
     models = {id(q): q for pair in degree9_searches for q in pair}
     models.update({id(q): q for d in sweep_descriptors(10, 1200) for q in (d.q1, d.q2)})
-    monkeypatch.setattr(subdirect, "_WITNESS_BLOCK", block)
+    monkeypatch.setattr(subdirect, "BLOCK_ROWS", block)
     cosets = empty = 0
     for q in models.values():
         # the property's function, so the cached tables are not reused

@@ -139,10 +139,11 @@ def block_swap_extensions() -> list[tuple[PermutationGroup, str]]:
     np.put_along_axis(Tinv, Tidx, np.arange(10, dtype=np.uint8), axis=1)
     t_sq = lex_keys(np.take_along_axis(T, Tidx, axis=1))
 
-    def lift(a: Perm, b: Perm) -> Perm:
-        return Perm(np.concatenate([a.images, b.images + 5]))
+    def lift(a: np.ndarray, b: np.ndarray) -> Perm:
+        """(a, b) on 0..4 then 5..9, from two image rows of degree 5."""
+        return Perm(np.concatenate([a, b + 5]))
 
-    id5 = Perm.identity(5)
+    id5 = np.arange(5, dtype=np.uint8)
     out = []
     for entry in enumerate_transitive(5):
         R = entry.group
@@ -151,8 +152,8 @@ def block_swap_extensions() -> list[tuple[PermutationGroup, str]]:
             # built with: lifted quotient generators, then N1's, then N2's
             q1, q2 = desc.q1, desc.q2
             k_gens = [lift(q1.reps[p], q2.reps[desc.point_map[p]]) for p in q1.generating_points]
-            k_gens += [lift(g, id5) for g in q1.kernel.generators]
-            k_gens += [lift(id5, g) for g in q2.kernel.generators]
+            k_gens += [lift(g.images, id5) for g in q1.kernel.generators]
+            k_gens += [lift(id5, g.images) for g in q2.kernel.generators]
             K = PermutationGroup(10, k_gens)
             assert K.order == desc.subgroup_order
             k_rows = K.element_rows()
