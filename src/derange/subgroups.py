@@ -10,8 +10,13 @@ conjugate extension; so one candidate per N(H)-orbit of double cosets
 suffices.  Taking the first of each orbit in index order finds the same
 classes and representatives as trying every double coset.
 
-Everything runs in element-index space over a precomputed
-multiplication table; the parent order cap keeps the table small.
+Everything runs in element-index space over a multiplication table
+held column by column, column y being right multiplication by element
+y: each generator's column is found by one search of lex keys, and
+every other column is one gather of two columns already filled.  Each
+candidate <H, g> is closed coset by coset from H, and stops once it
+holds more than half the parent.  The parent order cap keeps the table
+small.
 """
 
 from dataclasses import dataclass, field
@@ -20,25 +25,45 @@ import numpy as np
 
 from ._kernels import row_orders
 from .group import GroupError, PermutationGroup, ResourceCapExceeded, factorize
-from .perm import Perm, invert_rows, lex_keys, lex_order
+from .perm import Perm, invert_rows, lex_keys, lex_order, rows_of
 from .structure import conjugacy_classes
 
 ORDER_CAP = 6000
 
 
-def table_closure(mult: np.ndarray, gens) -> np.ndarray:
-    """Sorted indices of the subgroup generated by gens, breadth first
-    over a multiplication table with mult[x, g] = x*g and 0 the identity."""
-    gens = np.asarray(gens, dtype=np.intp)
-    seen = np.zeros(len(mult), dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        reached = np.zeros_like(seen)
-        reached[mult[frontier[:, None], gens]] = True
-        reached &= ~seen
-        seen |= reached
-        frontier = np.flatnonzero(reached)
+def table_closure(mult: np.ndarray, gens, base=None) -> np.ndarray:
+    """Sorted indices of the subgroup generated by gens, over a
+    multiplication table with mult[x, g] = x*g and 0 the identity.
+
+    base, when given, holds the indices of a subgroup H of <gens>;
+    without it H is trivial.  The subgroup is grown as a union of right
+    cosets H*r (Dimino's algorithm): for each representative r, in the
+    order found, and each generator s, r*s lies in a coset already in or
+    starts a new one, H*(r*s), adjoined by reading column r*s at H.  The
+    union is then closed under right multiplication by the generators.
+    By Lagrange's theorem a subgroup holding more than half the elements
+    is the whole group, so the walk stops there.  The columns are the
+    rows of mult.T, which is C-contiguous for the tables built here.
+    """
+    m = len(mult)
+    col = memoryview(mult.T)  # col[s, x] = x*s
+    h = [0] if base is None else np.asarray(base).tolist()
+    seen = np.zeros(m, dtype=bool)
+    seen[h] = True
+    found = memoryview(seen)
+    size = len(h)
+    gens = [int(s) for s in gens]
+    reps = [0]
+    for r in reps:  # grows while it is walked
+        for s in gens:
+            x = col[s, r]
+            if not found[x]:
+                size += len(h)
+                if 2 * size > m:
+                    return np.arange(m)
+                for y in h:
+                    found[col[x, y]] = True
+                reps.append(x)
     return np.flatnonzero(seen)
 
 
@@ -67,16 +92,32 @@ class ElementTable:
             raise ResourceCapExceeded(f"group order {m} over element table cap {cap}")
         table = conjugacy_classes(group, cap=cap)
         rows = table.rows
+        keys = lex_keys(rows)
         dtype = np.int16 if m <= 32767 else np.int32
-        at = np.arange(m, dtype=dtype)
-        mult = np.empty((m, m), dtype=dtype)
-        for i in range(m):
-            # (elem_i * elem_j).images = rows[j][rows[i]]; over all j these
-            # rows are the listing again, so sorting them numbers them
-            mult[i, lex_order(rows[:, rows[i]])] = at
+        # cols[y][x] = index of x*y; (x*y).images = rows[y][rows[x]]
+        cols = np.empty((m, m), dtype=dtype)
+        cols[0] = np.arange(m)
+        gens = np.searchsorted(keys, lex_keys(rows_of(group.generators, group.degree))).tolist()
+        for s in gens:
+            cols[s] = np.searchsorted(keys, lex_keys(rows[s][rows]))
+        # breadth first over the generators: y = x*s right-multiplies
+        # by x and then by s, so its column is one gather
+        col = memoryview(cols)
+        reached = bytearray(m)
+        reached[0] = 1
+        order = [0]
+        for x in order:  # grows while it is walked
+            for s in gens:
+                y = col[s, x]
+                if not reached[y]:
+                    reached[y] = 1
+                    np.take(cols[s], cols[x], out=cols[y])
+                    order.append(y)
+        if len(order) < m:
+            raise GroupError(f"the group's generators reach {len(order)} of its {m} listed elements")
         inv = np.empty(m, dtype=np.int64)
-        inv[lex_order(invert_rows(rows))] = at
-        return cls(group, rows, mult, inv, row_orders(rows), table.class_of)
+        inv[lex_order(invert_rows(rows))] = np.arange(m)
+        return cls(group, rows, cols.T, inv, row_orders(rows), table.class_of)
 
     @property
     def size(self) -> int:
@@ -94,9 +135,10 @@ class ElementTable:
             raise GroupError("permutation is not an element of the table's group")
         return i
 
-    def closure(self, gens: list[int]) -> np.ndarray:
-        """Sorted element indices of the subgroup the indices generate."""
-        return table_closure(self.mult, gens)
+    def closure(self, gens: list[int], base: np.ndarray | None = None) -> np.ndarray:
+        """Sorted element indices of the subgroup the indices generate;
+        base, when given, lists a subgroup of it to grow from."""
+        return table_closure(self.mult, gens, base)
 
     def conjugators(self, gens: list[int], target_sorted: np.ndarray) -> np.ndarray:
         """All y with every generator conjugate y^-1 g y inside target."""
@@ -206,7 +248,7 @@ def subgroup_classes(
             norm_inv = et.inv[norm]
             while pool.any():
                 g = int(np.argmax(pool))
-                idx = et.closure(H.gen_indices + [g])
+                idx = et.closure(H.gen_indices + [g], h_idx)
                 if add(idx, H.gen_indices + [g]):
                     fresh.append(len(classes) - 1)
                 # g's N(H)-orbit is closed under conjugation by H, so

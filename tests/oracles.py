@@ -15,7 +15,8 @@ of its certificate facts, the stabilizer chain, the normal closure
 grown by Schreier-Sims (batched, and one element at a time), a quotient
 model's greedy generating points, the normal-subgroup lattice (the plain
 round loop, and the class-mask lattice with a Schreier-Sims chain per
-member), the subgroup-lattice scan, the quotient
+member), the element table's multiplication table numbered one row at
+a time, the subgroup-lattice scan, the quotient
 isomorphism search and its dedup pass that the library's
 faster ones must match output for output, the normal-subgroup orders
 found by a sympy scan of class unions, a subdirect product grown by
@@ -44,6 +45,7 @@ from derange.perm import (
     fixes_any,
     invert_rows,
     lex_keys,
+    lex_order,
     lex_sorted,
     rows_of,
 )
@@ -419,6 +421,20 @@ def closure_rows(degree: int, gen_rows: np.ndarray, cap: int | None = None) -> n
         rows.extend(new)
     out = np.array(rows, dtype=np.uint8)
     return out[np.lexsort(out.T[::-1])]
+
+
+def reference_mult(rows: np.ndarray) -> np.ndarray:
+    """``ElementTable.mult`` of a group listed by its lex-sorted rows,
+    one row at a time: over all j the products elem_i * elem_j are the
+    listing again, so one lex sort of them numbers them."""
+    m = len(rows)
+    dtype = np.int16 if m <= 32767 else np.int32
+    at = np.arange(m, dtype=dtype)
+    mult = np.empty((m, m), dtype=dtype)
+    for i in range(m):
+        # (elem_i * elem_j).images = rows[j][rows[i]]
+        mult[i, lex_order(rows[:, rows[i]])] = at
+    return mult
 
 
 def subgroup_scan(G):

@@ -16,10 +16,11 @@ import pytest
 import derange.subgroups
 from derange.corpus import enumerate_transitive
 from derange.group import GroupError, PermutationGroup, ResourceCapExceeded
-from derange.perm import Perm
-from derange.subgroups import ElementTable, subgroup_classes
+from derange.perm import Perm, rows_of
+from derange.subgroups import ElementTable, subgroup_classes, table_closure
 from oracles import (
-    SRC, closure_rows, conjugate, direct_product, elements, project, reference_subgroup_classes,
+    SRC, closure_rows, conjugate, direct_product, elements, project, reference_mult,
+    reference_subgroup_classes,
 )
 
 
@@ -96,6 +97,26 @@ class TestElementTable:
             gens = rng.choice(et.size, size=int(rng.integers(1, 4)), replace=False).tolist()
             want = closure_rows(6, et.rows[gens])
             assert (et.rows[et.closure(gens)] == want).all()
+
+    def test_mult_matches_row_by_row_table(self):
+        def groups():
+            yield from (PermutationGroup.symmetric(n) for n in range(2, 7))
+            yield from (A5, C16)
+            # found by a scan over Sym(6)'s table, which is checked first
+            yield from (e.group for e in enumerate_transitive(6).entries)
+
+        for G in groups():
+            mult = ElementTable.of(G).mult
+            want = reference_mult(closure_rows(G.degree, rows_of(G.generators, G.degree)))
+            assert mult.dtype == want.dtype and (mult == want).all(), G.generators
+
+    def test_generators_that_miss_part_of_the_listing_are_rejected(self):
+        # from_listing trusts its caller: here Sym(4)'s listing comes with
+        # a 3-cycle alone, which reaches 3 of the 24 listed elements
+        listing = closure_rows(4, rows_of(S4.generators, 4))
+        G = PermutationGroup.from_listing(listing, [Perm.from_cycles(4, (0, 1, 2))])
+        with pytest.raises(GroupError, match="reach 3 of its 24"):
+            ElementTable.of(G)
 
     def test_degree_16_group(self):
         et = ElementTable.of(C16)
@@ -195,13 +216,34 @@ class TestSubgroupClasses:
         calls = []
         closure = derange.subgroups.table_closure
 
-        def counted_closure(mult, gens):
+        def counted_closure(mult, gens, base=None):
             calls.append(gens)
-            return closure(mult, gens)
+            return closure(mult, gens, base)
 
         monkeypatch.setattr(derange.subgroups, "table_closure", counted_closure)
         subgroup_classes(PermutationGroup.symmetric(n))
         assert len(calls) == closures
+
+
+def test_closure_from_a_subgroup_matches_closure_from_the_identity():
+    # <H, g> for H over the classes of Sym(6) and three g outside each:
+    # grown coset by coset from H, grown from the identity, and by word
+    # closure.  A closure to all of Sym(6) returns as soon as it holds
+    # more than 360 elements; one to Alt(6) holds exactly half.
+    G = PermutationGroup.symmetric(6)
+    et = ElementTable.of(G)
+    rng = np.random.default_rng(3)
+    sizes = []
+    for c in subgroup_classes(G, et)[:-1]:
+        outside = np.setdiff1d(np.arange(et.size), c.indices)
+        for g in rng.choice(outside, size=3, replace=False).tolist():
+            gens = c.gen_indices + [g]
+            got = table_closure(et.mult, gens, c.indices)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, table_closure(et.mult, gens))
+            assert (et.rows[got] == closure_rows(6, et.rows[gens])).all()
+            sizes.append(got.size)
+    assert (sizes.count(720), sizes.count(360)) == (96, 23)
 
 
 # the direct products of transitive groups of degree 2-5 that
