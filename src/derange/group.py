@@ -5,29 +5,34 @@ explicitly built base and strong generating set, its chain, built by
 Schreier-Sims with full Schreier-generator checking, no randomization;
 base points are chosen in increasing point order, so every derived
 quantity (element enumeration order, transversal layout) is
-reproducible run to run.  The chain is sifted and checked by a batched
-sift of uint8 rows, one array for all of a level's Schreier generators;
-it has the same base, strong generators and transversals as the loop
-that sifts one element at a time (``tests/oracles.py::ReferenceBSGS``).
-Membership is two gathers per level, the row index of a row's base
-image and then that inverse representative; only the one Schreier
-generator that fails is sifted again to find the level where it got
-stuck.  The chain also keys cosets: ``BSGS.coset_keys`` maps each row
-to the element of its coset whose base images are least, level by
-level.  A group given by all its elements (a normal subgroup off a
-class table, a Sylow subgroup, a subdirect product listed from matched
-cosets, a builtin corpus entry off the subgroup scan's table) holds them
-as a lex-sorted listing, which gives its order, its elements and
-membership (one search of the listing's lex keys); its chain is read
-off the listing, with no search, only when asked for
-(``BSGS.from_listing``).  Block systems on the first orbit come from one
-routine, the block closure of 0 and each other orbit point
-(``PermutationGroup.block_closures``).
+reproducible run to run.  The chain keeps its strong generators as
+uint8 rows only, and its order is the product of its levels' orbit
+lengths.  It is checked by one batched sift (``BSGS._sifted``), one
+array for all of a level's Schreier generators, two gathers per level
+(the row index of a row's base image, then that inverse
+representative), and membership is the same sift.  An element adjoined
+and the one Schreier generator that fails are sifted alone, one row by
+a plain loop over the levels (``BSGS.sift``), to find the level where
+each got stuck.  The chain has the same base, strong generators and
+transversals as the loop that sifts one element at a time
+(``tests/oracles.py::ReferenceBSGS``).  It also keys cosets:
+``BSGS.coset_keys`` maps each row to the element of its coset whose
+base images are least, level by level.  A group given by all its
+elements (a normal subgroup off a class table, a Sylow subgroup, a
+subdirect product listed from matched cosets, a builtin corpus entry
+off the subgroup scan's table) holds them as a lex-sorted listing,
+which gives its order, its elements and membership (one search of the
+listing's lex keys); its chain is read off the listing, with no search,
+only when asked for (``BSGS.from_listing``).  Block systems on the
+first orbit come from one routine, the block closure of 0 and each
+other orbit point (``PermutationGroup.block_closures``).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -78,11 +83,9 @@ class BSGS:
     def __init__(self, degree: int, generators=()):
         self.degree = degree
         self.base: list[int] = []
-        self.strong_gens: list[Perm] = []
-        self._gen_rows = np.empty((0, degree), dtype=np.uint8)
+        # the strong generators' rows, in the order adjoined
+        self.strong_rows = np.empty((0, degree), dtype=np.uint8)
         self._levels: list[_Level] = []
-        # the product of the orbit lengths, kept up to date by _insert
-        self.order = 1
         for g in generators:
             self.extend(g)
 
@@ -132,13 +135,16 @@ class BSGS:
                             reached[g[p]] = 1
                             orbit.append(g[p])
         rows = [row for level in reversed(picked) for row in level]
-        chain._gen_rows = np.array(rows, dtype=np.uint8).reshape(-1, degree)
-        chain.strong_gens = [Perm(row, validate=False) for row in chain._gen_rows]
+        chain.strong_rows = np.array(rows, dtype=np.uint8).reshape(-1, degree)
         chain._levels = [None] * len(chain.base)
         for i, level_reps in enumerate(reps):
             chain._set_level(i, chain._level_gens(i), level_reps[:, chain.base[i]], level_reps)
-        chain._set_order()
         return chain
+
+    @property
+    def order(self) -> int:
+        """The product of the levels' orbit lengths."""
+        return prod(len(level.points) for level in self._levels)
 
     def _sifted(self, rows: np.ndarray, start: int) -> np.ndarray:
         """Each uint8 row times the inverse representatives it meets in
@@ -156,26 +162,18 @@ class BSGS:
             rows = level.inv[level.index[rows[:, b]][:, None], rows]
         return rows
 
-    def sift_rows(self, rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Each (m, degree) row reduced through levels[start:]: the residue
-        rows and the level where each got stuck, len(base) if none."""
-        res = _checked_rows(rows, self.degree).copy()
-        stuck = np.full(len(res), len(self.base), dtype=np.intp)
-        live = np.arange(len(res))
+    def sift(self, row: np.ndarray, start: int = 0) -> tuple[np.ndarray, int]:
+        """One row reduced through levels[start:]: the residue row and the
+        level where it got stuck, len(base) if none."""
+        res = _checked_rows(np.asarray(row)[None], self.degree)[0]
         for i in range(start, len(self.base)):
             level = self._levels[i]
-            idx = level.index[res[live, self.base[i]]]
-            out = idx < 0
-            stuck[live[out]] = i
-            live, idx = live[~out], idx[~out]
+            k = level.index[res[self.base[i]]]
+            if k < 0:
+                return res, i
             # row * u^-1: apply the row, then the inverse representative
-            res[live] = level.inv[idx[:, None], res[live]]
-        return res, stuck
-
-    def sift(self, g: Perm, start: int = 0) -> tuple[Perm, int]:
-        """g reduced through levels[start:]; returns (residue, stuck level)."""
-        res, stuck = self.sift_rows(g.images[None, :], start)
-        return Perm(res[0], validate=False), int(stuck[0])
+            res = level.inv[k][res]
+        return res, len(self.base)
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """mask[i] = row i is an element of the group."""
@@ -197,32 +195,25 @@ class BSGS:
 
     def extend(self, g: Perm) -> bool:
         """Adjoin one element; returns True if the group grew."""
-        residue, j = self.sift(g)
-        if j == len(self.base) and residue.is_identity():
+        residue, j = self.sift(g.images)
+        if j == len(self.base) and (residue == np.arange(self.degree)).all():
             return False
         self._insert(residue, j)
         self._complete(j)
         return True
 
-    def _insert(self, residue: Perm, j: int) -> None:
+    def _insert(self, residue: np.ndarray, j: int) -> None:
         if j == len(self.base):
-            self.base.append(int(residue.moved_points()[0]))
+            self.base.append(int(np.flatnonzero(residue != np.arange(self.degree))[0]))
             self._levels.append(None)
-        self.strong_gens.append(residue)
-        self._gen_rows = np.concatenate([self._gen_rows, residue.images[None, :]])
+        self.strong_rows = np.concatenate([self.strong_rows, residue[None, :]])
         for i in range(j + 1):
             self._rebuild(i)
-        self._set_order()
-
-    def _set_order(self) -> None:
-        self.order = 1
-        for level in self._levels:
-            self.order *= len(level.points)
 
     def _level_gens(self, i: int) -> np.ndarray:
         """The rows of the strong generators fixing base[:i]."""
         prefix = self.base[:i]
-        rows = self._gen_rows
+        rows = self.strong_rows
         return rows[(rows[:, prefix] == np.array(prefix, dtype=np.uint8)).all(axis=1)] if i else rows
 
     def _set_level(self, i: int, gens: np.ndarray, points: np.ndarray, reps: np.ndarray) -> None:
@@ -268,7 +259,7 @@ class BSGS:
         bad = np.flatnonzero((res != np.arange(self.degree)).any(axis=1))
         if not bad.size:
             return None
-        return self.sift(Perm(w[bad[0]], validate=False), i + 1)
+        return self.sift(w[bad[0]], i + 1)
 
     def _complete(self, start: int) -> None:
         i = min(start, len(self.base) - 1)
@@ -353,7 +344,7 @@ class PermutationGroup:
     @property
     def generators(self) -> list[Perm]:
         if self._generators is None:
-            self._generators = list(self.bsgs.strong_gens)
+            self._generators = [Perm(row, validate=False) for row in self.bsgs.strong_rows]
         return self._generators
 
     @property
@@ -365,8 +356,9 @@ class PermutationGroup:
                 self._bsgs = BSGS(self.degree, self.generators)
         return self._bsgs
 
-    @property
+    @cached_property
     def order(self) -> int:
+        # fixed once the listing or the complete chain is there
         if self._listing is not None:
             return len(self._listing)
         return self.bsgs.order

@@ -105,10 +105,6 @@ class Perm:
     def is_identity(self) -> bool:
         return bool((self.images == np.arange(self.images.size)).all())
 
-    def moved_points(self) -> np.ndarray:
-        dom = np.arange(self.degree)
-        return dom[self.images != dom]
-
     def cycles(self, singletons: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each rotated to start at its least point."""
         out = []
@@ -220,6 +216,36 @@ def lex_keys(rows: np.ndarray) -> np.ndarray:
     """
     rows = np.ascontiguousarray(rows, dtype=np.uint8)
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def cayley_table(gen_rows: np.ndarray) -> np.ndarray:
+    """The (m, m) table of a group acting regularly on points 0..m-1,
+    the identity at 0: table[y, x] is the point of x*y, so row y is right
+    multiplication by the element at y.  Row i of gen_rows is the row of
+    a generator, which sits at point gen_rows[i, 0].  Filled breadth
+    first from the identity: y = x*s right-multiplies by x and then by s,
+    so its row is one gather of s's row.  Raises GroupError when the
+    generators miss a point.
+    """
+    m = gen_rows.shape[1]
+    dtype = np.int16 if m <= 32767 else np.int32
+    gens = gen_rows.astype(dtype)
+    table = np.empty((m, m), dtype=dtype)
+    table[0] = np.arange(m)
+    step, rows = memoryview(gens), list(gens)
+    reached = bytearray(m)
+    reached[0] = 1
+    order = [0]
+    for x in order:  # grows while it is walked
+        for s, gen in enumerate(rows):
+            y = step[s, x]
+            if not reached[y]:
+                reached[y] = 1
+                gen.take(table[x], out=table[y])
+                order.append(y)
+    if len(order) < m:
+        raise GroupError(f"the group's generators reach {len(order)} of its {m} listed elements")
+    return table
 
 
 def in_listing(listing: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .group import BLOCK_ROWS, ENUM_CAP, GroupError, PermutationGroup, ResourceC
 from .perm import (
     MAX_DEGREE,
     Perm,
+    cayley_table,
     conjugate_rows,
     fixes_any,
     lex_order,
@@ -195,7 +196,9 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
     each point p in order and each generator s of G in order, the coset
     of reps[p] * s gets the next point unless its key
     (``BSGS.coset_keys`` on N's chain) is known already.  The keys of
-    all the (p, s) of one round of points are found in one call.
+    all the (p, s) of one round of points are found in one call.  Row s
+    of the walk's gen_rows is right multiplication by generator s, from
+    which ``perm.cayley_table`` fills the model's table.
     """
     if N.degree != G.degree:
         raise GroupError("kernel degree differs from parent degree")
@@ -215,7 +218,6 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
     gens = rows_of(G.generators, n)
     rep_rows = [np.arange(n, dtype=np.uint8)]
     enc = {chain.coset_keys(rep_rows[0][None, :]).tobytes(): 0}
-    disc: list[tuple[int, int]] = [(0, -1)]
     gen_rows = np.empty((len(gens), m), dtype=np.int64)
     lo = 0
     while lo < len(rep_rows):
@@ -233,22 +235,13 @@ def quotient(G: PermutationGroup, N: PermutationGroup, cap: int = QUOTIENT_CAP) 
                     raise GroupError("coset enumeration exceeded the expected count")
                 enc[key] = q
                 rep_rows.append(cands[j])
-                disc.append((lo + p, si))
             gen_rows[si, lo + p] = q
         lo = hi
     if len(rep_rows) != m:
         raise GroupError(f"coset enumeration found {len(rep_rows)} cosets, expected {m}")
     reps = np.array(rep_rows)
     reps.flags.writeable = False
-
-    # right multiplication by reps[q] = (right mult by reps[p]) then by s
-    # where q was discovered as the coset of reps[p]*s
-    rows = np.empty((m, m), dtype=np.int64)
-    rows[0] = np.arange(m)
-    for q in range(1, m):
-        p, si = disc[q]
-        rows[q] = gen_rows[si][rows[p]]
-    table = rows.astype(np.int16 if m <= 32767 else np.int32)
+    table = cayley_table(gen_rows)
     # the model holds a copy of N that shares its stabilizer chain, not N
     # itself: N holds the model, and a reference cycle would keep both
     # (and G) alive after their last use until the cyclic collector runs

@@ -13,7 +13,8 @@ classes and representatives as trying every double coset.
 Everything runs in element-index space over a multiplication table
 held column by column, column y being right multiplication by element
 y: each generator's column is found by one search of lex keys, and
-every other column is one gather of two columns already filled.  Each
+every other column is one gather of two columns already filled
+(``perm.cayley_table``, which also fills quotient tables).  Each
 candidate <H, g> is closed coset by coset from H, and stops once it
 holds more than half the parent.  The parent order cap keeps the table
 small.
@@ -25,7 +26,7 @@ import numpy as np
 
 from ._kernels import row_orders
 from .group import GroupError, PermutationGroup, ResourceCapExceeded, factorize
-from .perm import Perm, invert_rows, lex_keys, lex_order, rows_of
+from .perm import Perm, cayley_table, invert_rows, lex_keys, lex_order, rows_of
 from .structure import conjugacy_classes
 
 ORDER_CAP = 6000
@@ -90,31 +91,17 @@ class ElementTable:
         m = group.order
         if m > cap:
             raise ResourceCapExceeded(f"group order {m} over element table cap {cap}")
+        gen_rows = rows_of(group.generators, group.degree)
+        # a group given by its listing has the generators its caller
+        # gave; the class table and the columns below trust them
+        if not group.contains_rows(gen_rows).all():
+            raise GroupError("a generator of the group is not in its listing")
         table = conjugacy_classes(group, cap=cap)
         rows = table.rows
-        keys = lex_keys(rows)
-        dtype = np.int16 if m <= 32767 else np.int32
-        # cols[y][x] = index of x*y; (x*y).images = rows[y][rows[x]]
-        cols = np.empty((m, m), dtype=dtype)
-        cols[0] = np.arange(m)
-        gens = np.searchsorted(keys, lex_keys(rows_of(group.generators, group.degree))).tolist()
-        for s in gens:
-            cols[s] = np.searchsorted(keys, lex_keys(rows[s][rows]))
-        # breadth first over the generators: y = x*s right-multiplies
-        # by x and then by s, so its column is one gather
-        col = memoryview(cols)
-        reached = bytearray(m)
-        reached[0] = 1
-        order = [0]
-        for x in order:  # grows while it is walked
-            for s in gens:
-                y = col[s, x]
-                if not reached[y]:
-                    reached[y] = 1
-                    np.take(cols[s], cols[x], out=cols[y])
-                    order.append(y)
-        if len(order) < m:
-            raise GroupError(f"the group's generators reach {len(order)} of its {m} listed elements")
+        # gen_cols[i, x] = index of x*g_i, whose images are g_i[rows[x]]
+        gen_cols = np.searchsorted(lex_keys(rows), lex_keys(gen_rows[:, rows].reshape(-1, group.degree)))
+        # cols[y, x] = index of x*y, so mult[x, y] is its transposed view
+        cols = cayley_table(gen_cols.reshape(len(gen_rows), m))
         inv = np.empty(m, dtype=np.int64)
         inv[lex_order(invert_rows(rows))] = np.arange(m)
         return cls(group, rows, cols.T, inv, row_orders(rows), table.class_of)

@@ -71,7 +71,8 @@ def chain_group(chain, name=None) -> PermutationGroup:
     """The group generated by a built chain's strong generators, holding
     that chain, so its order, membership and element order are the
     chain's."""
-    group = PermutationGroup(chain.degree, chain.strong_gens, name=name)
+    gens = [Perm(row, validate=False) for row in chain.strong_rows]
+    group = PermutationGroup(chain.degree, gens, name=name)
     group._bsgs = chain
     return group
 
@@ -166,7 +167,7 @@ def reference_sylow_subgroup(group, p: int) -> PermutationGroup:
     pool = p_element_rows(group, p) if target > 1 else np.empty((0, group.degree), dtype=np.uint8)
     while b.order < target:
         pool = pool[~b.contains_rows(pool)]
-        gens = rows_of(b.strong_gens, group.degree)
+        gens = b.strong_rows
         g = next((row for row in pool if b.contains_rows(conjugate_rows(gens, row)).all()), None)
         if g is None:
             raise ValueError(f"grew a {p}-subgroup of order {b.order}, not the p-part {target}")
@@ -289,7 +290,7 @@ class ReferenceBSGS:
 
     def _insert(self, residue: Perm, j: int) -> None:
         if j == len(self.base):
-            self.base.append(int(residue.moved_points()[0]))
+            self.base.append(next(x for x in range(self.degree) if residue(x) != x))
             self.transversals.append({})
         self.strong_gens.append(residue)
         for i in range(j + 1):
@@ -340,6 +341,10 @@ class ReferenceBSGS:
             residue, j = bad
             self._insert(residue, j)
             i = j
+
+    @property
+    def strong_rows(self) -> np.ndarray:
+        return rows_of(self.strong_gens, self.degree)
 
     @property
     def order(self) -> int:

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from derange import Perm, PermError
+from derange import GroupError, Perm, PermError, PermutationGroup
 from derange._kernels import fix_any_count
+from derange.corpus import load_corpus
 from derange.perm import (
     MAX_DEGREE,
+    cayley_table,
     conjugate_rows,
     fixes_any,
     invert_rows,
@@ -13,6 +17,11 @@ from derange.perm import (
     lex_sorted,
     rows_of,
 )
+from derange.structure import normal_subgroups
+from derange.subdirect import QUOTIENT_CAP
+from oracles import closure_rows, lex_coset_key, reference_mult, reference_quotient
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "derange" / "fixtures"
 
 
 def brute_compose(f, g):
@@ -138,8 +147,6 @@ def test_fixed_and_moved_points():
     assert [x for x in range(7) if fixes_any(row, [x])[0]] == [0, 2]
     assert fixes_any(row, [0, 1, 4]).tolist() == [True]
     assert fixes_any(row, [1, 4]).tolist() == [False]
-    assert list(g.moved_points()) == [1, 3, 4, 5, 6]
-    assert not Perm.identity(4).moved_points().size
 
 
 def test_ordering_is_lexicographic_on_images():
@@ -194,3 +201,48 @@ def test_lex_keys_sort_and_locate_rows_at_any_degree(degree):
     queries = rows[::-1][::3]
     pos = np.searchsorted(lex_keys(ordered), lex_keys(queries))
     assert (ordered[pos] == queries).all()
+
+
+def test_cayley_table_refills_the_row_by_row_tables():
+    # Sym(2..6): the columns of the generators in the row-by-row table
+    # fill that whole table again, transposed (row y is right
+    # multiplication by y)
+    for n in range(2, 7):
+        G = PermutationGroup.symmetric(n)
+        listing = closure_rows(n, rows_of(G.generators, n))
+        want = reference_mult(listing)
+        keys = lex_keys(listing)
+        gens = np.searchsorted(keys, lex_keys(rows_of(G.generators, n)))
+        got = cayley_table(want[:, gens].T)
+        assert got.dtype == want.dtype and np.array_equal(got, want.T), n
+
+
+def test_cayley_table_refills_reference_quotients():
+    # every degree-9 fixture quotient within QUOTIENT_CAP: the rows of
+    # the generators' points fill the whole reference table again
+    tables = 0
+    for e in load_corpus(FIXTURES / "degree09", 9).entries:
+        G = e.group
+        for N in normal_subgroups(G):
+            if G.order // N.order > QUOTIENT_CAP:
+                continue
+            _, table, enc = reference_quotient(G, N)
+            kernel_rows = N.element_rows()
+            points = [enc[lex_coset_key(kernel_rows, g)] for g in G.generators]
+            assert np.array_equal(cayley_table(table[points]), table), (e.name, N.order)
+            tables += 1
+    assert tables
+
+
+def test_cayley_table_rejects_generators_that_miss_a_point():
+    listing = closure_rows(4, rows_of(PermutationGroup.symmetric(4).generators, 4))
+    want = reference_mult(listing)
+    # a 3-cycle alone reaches 3 of Sym(4)'s 24 elements, and no
+    # generator at all only the identity
+    cycle = Perm.from_cycles(4, (0, 1, 2)).images[None, :]
+    g = np.searchsorted(lex_keys(listing), lex_keys(cycle))
+    with pytest.raises(GroupError, match="reach 3 of its 24"):
+        cayley_table(want[:, g].T)
+    with pytest.raises(GroupError, match="reach 1 of its 24"):
+        cayley_table(np.empty((0, 24), dtype=np.int64))
+    assert cayley_table(np.empty((0, 1), dtype=np.int64)).tolist() == [[0]]

@@ -118,6 +118,15 @@ class TestElementTable:
         with pytest.raises(GroupError, match="reach 3 of its 24"):
             ElementTable.of(G)
 
+    def test_generators_outside_the_listing_are_rejected(self):
+        # C3's listing on 4 points given a transposition that is not one
+        # of its elements: the generator's lex key finds no equal row
+        listing = closure_rows(4, rows_of([Perm.from_cycles(4, (0, 1, 2))], 4))
+        for cycle in ((0, 3), (1, 3)):
+            G = PermutationGroup.from_listing(listing, [Perm.from_cycles(4, cycle)])
+            with pytest.raises(GroupError, match="not in its listing"):
+                ElementTable.of(G)
+
     def test_degree_16_group(self):
         et = ElementTable.of(C16)
         assert [et.index(g) for g in C16.generators] == [1]

@@ -43,7 +43,7 @@ import numpy as np
 from derange.corpus import enumerate_transitive, group_json
 from derange.gf import FieldSpec
 from derange.group import Perm, PermutationGroup
-from derange.perm import lex_keys, lex_sorted
+from derange.perm import in_listing, lex_sorted
 from derange.subdirect import goursat_enumerate
 from derange.subgroups import ElementTable, subgroup_classes
 
@@ -137,7 +137,7 @@ def block_swap_extensions() -> list[tuple[PermutationGroup, str]]:
     Tidx = T.astype(np.intp)
     Tinv = np.empty_like(T)
     np.put_along_axis(Tinv, Tidx, np.arange(10, dtype=np.uint8), axis=1)
-    t_sq = lex_keys(np.take_along_axis(T, Tidx, axis=1))
+    t_sq = np.take_along_axis(T, Tidx, axis=1)
 
     def lift(a: np.ndarray, b: np.ndarray) -> Perm:
         """(a, b) on 0..4 then 5..9, from two image rows of degree 5."""
@@ -157,16 +157,11 @@ def block_swap_extensions() -> list[tuple[PermutationGroup, str]]:
             K = PermutationGroup(10, k_gens)
             assert K.order == desc.subgroup_order
             k_rows = K.element_rows()
-            k_enc = np.sort(lex_keys(k_rows))
-
-            def member(e):
-                pos = np.searchsorted(k_enc, e).clip(0, len(k_enc) - 1)
-                return k_enc[pos] == e
-
-            mask = member(t_sq)
+            k_listing = lex_sorted(k_rows)
+            mask = in_listing(k_listing, t_sq)
             for g in K.generators:
                 conj = np.take_along_axis(T, g.images[Tinv].astype(np.intp), axis=1)
-                mask &= member(lex_keys(conj))
+                mask &= in_listing(k_listing, conj)
                 if not mask.any():
                     break
             seen = set()
@@ -392,7 +387,7 @@ def conjugate_in_sn(g1: PermutationGroup, g2: PermutationGroup,
     if g1.order != g2.order:
         return False
     n = g1.degree
-    enc2 = np.sort(lex_keys(g2.element_rows()))
+    listing2 = lex_sorted(g2.element_rows())
     gens = [g.images for g in g1.generators]
     ar = np.arange(n, dtype=np.uint8)
     for lo in range(0, len(perms), chunk):
@@ -403,9 +398,7 @@ def conjugate_in_sn(g1: PermutationGroup, g2: PermutationGroup,
         mask = np.ones(len(T), dtype=bool)
         for gi in gens:
             conj = np.take_along_axis(T, gi[Tinv].astype(np.intp), axis=1)
-            e = lex_keys(conj)
-            pos = np.searchsorted(enc2, e).clip(0, len(enc2) - 1)
-            mask &= enc2[pos] == e
+            mask &= in_listing(listing2, conj)
             if not mask.any():
                 break
         if mask.any():
